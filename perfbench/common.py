@@ -18,7 +18,7 @@ import subprocess
 import sys
 import time
 from pathlib import Path
-from typing import Dict, List, Sequence
+from typing import Dict, List, Sequence, Set, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src"
@@ -158,27 +158,32 @@ class Children:
     """
 
     def __init__(self) -> None:
-        self._procs: List[subprocess.Popen] = []
+        #: Each child, and whether it leads its own process group.
+        self._procs: List[Tuple[subprocess.Popen, bool]] = []
 
     def spawn(self, cmd: Sequence[str], new_session: bool = True, **kwargs) -> subprocess.Popen:
         proc = subprocess.Popen(list(cmd), start_new_session=new_session, **kwargs)
-        self._procs.append(proc)
+        self._procs.append((proc, new_session))
         return proc
 
     @staticmethod
-    def stop(proc: subprocess.Popen, grace_s: float = 5.0) -> None:
-        """Terminate, wait a bounded time, then kill the process group."""
+    def stop(proc: subprocess.Popen, grace_s: float = 5.0, own_group: bool = True) -> None:
+        """Terminate, wait a bounded time, then kill the process group.
+
+        The group is killed even when its leader has already ended, so a
+        process the child left in its group goes with it.
+        """
         if proc.poll() is None:
             try:
                 proc.terminate()
                 proc.wait(timeout=grace_s)
             except (ProcessLookupError, subprocess.TimeoutExpired):
                 pass
-        try:
-            if os.getpgid(proc.pid) == proc.pid:
+        if own_group:
+            try:
                 os.killpg(proc.pid, signal.SIGKILL)
-        except (ProcessLookupError, PermissionError):
-            pass
+            except (ProcessLookupError, PermissionError):
+                pass
         try:
             proc.wait(timeout=grace_s)
         except subprocess.TimeoutExpired:
@@ -187,7 +192,8 @@ class Children:
 
     def stop_all(self) -> None:
         while self._procs:
-            self.stop(self._procs.pop())
+            proc, own_group = self._procs.pop()
+            self.stop(proc, own_group=own_group)
 
 
 def join_pool_workers(timeout_s: float = 10.0) -> None:
@@ -213,6 +219,99 @@ def join_pool_workers(timeout_s: float = 10.0) -> None:
         if proc.is_alive():
             proc.kill()
             proc.join(timeout=2.0)
+
+
+_PR_SET_CHILD_SUBREAPER = 36
+
+
+def become_subreaper() -> bool:
+    """Adopt the orphans of this process's descendants (Linux
+    ``PR_SET_CHILD_SUBREAPER``), so a process a child leaves behind is
+    reparented here, where :func:`reap_descendants` stops it, instead
+    of to init."""
+    import ctypes
+
+    try:
+        prctl = ctypes.CDLL(None, use_errno=True).prctl
+    except (OSError, AttributeError):
+        return False
+    return prctl(_PR_SET_CHILD_SUBREAPER, 1, 0, 0, 0) == 0
+
+
+def stop_resource_tracker() -> None:
+    """Stop ``multiprocessing``'s resource tracker and wait for it.
+
+    The pool's shared-memory arena starts the tracker, a separate
+    process that ignores SIGINT and SIGTERM and otherwise ends only
+    after this process has, so it would outlive the run.  Closing its
+    pipe makes it unlink anything left registered and exit.
+    """
+    from multiprocessing import resource_tracker
+
+    stop = getattr(resource_tracker._resource_tracker, "_stop", None)
+    if stop is not None:
+        try:
+            stop()
+        except (ChildProcessError, OSError):
+            pass
+
+
+def child_pids(parent: int) -> List[int]:
+    """PIDs whose parent is ``parent``, zombies included."""
+    out = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat") as fh:
+                ppid = int(fh.read().rsplit(")", 1)[1].split()[1])
+        except (OSError, ValueError, IndexError):
+            continue
+        if ppid == parent:
+            out.append(int(entry))
+    return out
+
+
+def _reap_exited() -> None:
+    while True:
+        try:
+            pid, _status = os.waitpid(-1, os.WNOHANG)
+        except ChildProcessError:
+            return
+        if pid == 0:
+            return
+
+
+def reap_descendants(grace_s: float = 5.0, limit_s: float = 20.0) -> List[int]:
+    """Stop every process still below this one and wait until each has ended.
+
+    Meant to run last, after the orderly stops, so whatever it finds was
+    left behind: SIGTERM, then SIGKILL once ``grace_s`` has passed.
+    With :func:`become_subreaper` in effect, grandchildren orphaned on
+    the way are adopted and stopped too.  Returns the PIDs it stopped.
+    """
+    me = os.getpid()
+    began = time.monotonic()
+    termed: Dict[int, float] = {}
+    killed: Set[int] = set()
+    while time.monotonic() - began < limit_s:
+        _reap_exited()
+        pids = child_pids(me)
+        if not pids:
+            break
+        now = time.monotonic()
+        for pid in pids:
+            try:
+                if pid not in termed:
+                    termed[pid] = now
+                    os.kill(pid, signal.SIGTERM)
+                elif pid not in killed and now - termed[pid] >= grace_s:
+                    killed.add(pid)
+                    os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+        time.sleep(0.01)
+    return sorted(termed)
 
 
 def install_signal_exit() -> None:

@@ -33,6 +33,7 @@ from common import (
     SRC,
     Children,
     apply_program_env,
+    become_subreaper,
     build_dir,
     conditions,
     install_signal_exit,
@@ -40,6 +41,8 @@ from common import (
     median,
     percentile,
     program_env,
+    reap_descendants,
+    stop_resource_tracker,
 )
 from tracer import PER_LAYER
 
@@ -321,6 +324,7 @@ def main(argv: Optional[List[str]] = None) -> int:
               file=sys.stderr)
         return 2
     install_signal_exit()
+    become_subreaper()
     tmp_root = build_dir() / "tmp"
     tmp_root.mkdir(parents=True, exist_ok=True)
     tmpdir = Path(tempfile.mkdtemp(prefix="run-", dir=tmp_root))
@@ -331,8 +335,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     except KeyboardInterrupt:
         return 128 + signal.SIGINT
     finally:
+        # A second signal must not cut the clean-up short.
+        signal.pthread_sigmask(signal.SIG_BLOCK, {signal.SIGINT, signal.SIGTERM})
         children.stop_all()
         join_pool_workers()
+        stop_resource_tracker()
+        leftover = reap_descendants()
+        if leftover:
+            print(f"perfbench: stopped leftover processes {leftover}", file=sys.stderr, flush=True)
         shutil.rmtree(tmpdir, ignore_errors=True)
 
 

@@ -185,6 +185,7 @@ class Daemon:
     def __init__(self, children: Children, tmpdir: Path, cache_bytes: int, traced: bool,
                  new_session: bool = True):
         args = ["--port", "0", "--cache-bytes", str(cache_bytes)]
+        self.own_group = new_session
         if traced:
             cmd = [sys.executable, str(HERE / "daemon.py"), *args]
         else:
@@ -220,7 +221,7 @@ class Daemon:
         return process_status_kb(self.proc.pid, key)
 
     def stop(self) -> None:
-        Children.stop(self.proc)
+        Children.stop(self.proc, own_group=self.own_group)
 
 
 # ----------------------------------------------------------------------

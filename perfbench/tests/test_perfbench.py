@@ -13,6 +13,7 @@ import shutil
 import signal
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 from typing import Dict, Iterable, List
@@ -64,10 +65,33 @@ def alive(pids: Iterable[int]) -> List[int]:
     return out
 
 
+#: Runs a command below a subreaper, so a process the command leaves
+#: running is caught even if it ends a moment after the command does.
+ADOPT = [sys.executable, str(Path(__file__).resolve().with_name("adopt.py"))]
+
+
+def adopting(cmd: List[str], **kwargs):
+    """Start ``cmd`` under ``adopt.py``: (its process, its report file)."""
+    report = Path(tempfile.mkdtemp()) / "adopted.json"
+    return subprocess.Popen(ADOPT + [str(report)] + cmd, cwd=ROOT, text=True, **kwargs), report
+
+
+def adopted(report: Path) -> List[str]:
+    """The processes the command left running when it exited."""
+    return json.loads(report.read_text())["adopted"]
+
+
 def _run(*args: str, timeout: float = 170.0):
-    proc = subprocess.run(RUN + list(args), capture_output=True, text=True, cwd=ROOT, timeout=timeout)
-    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    proc, report = adopting(RUN + list(args), stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        out, err = proc.communicate(timeout=timeout)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    assert proc.returncode == 0, out[-2000:] + err[-2000:]
+    assert adopted(report) == []
+    return json.loads(out.strip().splitlines()[-1])
 
 
 def _leftover_tmp():
@@ -170,18 +194,26 @@ def _daemon_pids(stream, count):
     return pids
 
 
+def test_games_run_leaves_no_process():
+    # The pool's shared-memory arena starts multiprocessing's resource
+    # tracker, which would outlive the run unless it is stopped.
+    result = _run("--workload", "games", "--seed", "4", "--seconds", "1")
+    assert result["correct"] is True
+    assert _leftover_tmp() == []
+
+
 @pytest.mark.parametrize("sig", [signal.SIGINT, signal.SIGTERM])
-def test_interrupted_serving_run_leaves_no_process(sig):
-    proc = subprocess.Popen(
-        RUN + ["--workload", "serve_read", "--seed", "3", "--seconds", "60"],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, cwd=ROOT,
-    )
+def test_interrupted_games_run_leaves_no_process(sig):
+    proc, report = adopting(RUN + ["--workload", "games", "--seed", "3", "--seconds", "60"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     try:
-        pids = _daemon_pids(proc.stderr, 3)  # two set-up probes, then the measured daemon
-        time.sleep(3.0)  # inside the timed window
-        started = set(pids) | set(descendants(proc.pid))
-        assert alive(pids[-1:]) == pids[-1:]
-        proc.send_signal(sig)
+        for line in proc.stdout:
+            if line.startswith("perfbench: workload="):
+                break
+        time.sleep(2.0)  # inside the timed window, pool workers busy
+        started = descendants(proc.pid)
+        assert len(started) >= 2  # the benchmark and its children
+        proc.send_signal(sig)  # passed on to the benchmark
         out, _ = proc.communicate(timeout=60)
     finally:
         if proc.poll() is None:
@@ -189,6 +221,29 @@ def test_interrupted_serving_run_leaves_no_process(sig):
             proc.wait()
     assert proc.returncode == 128 + sig
     assert '"correct"' not in out
+    assert adopted(report) == []
+    assert alive(started) == []
+    assert _leftover_tmp() == []
+
+
+@pytest.mark.parametrize("sig", [signal.SIGINT, signal.SIGTERM])
+def test_interrupted_serving_run_leaves_no_process(sig):
+    proc, report = adopting(RUN + ["--workload", "serve_read", "--seed", "3", "--seconds", "60"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        pids = _daemon_pids(proc.stderr, 3)  # two set-up probes, then the measured daemon
+        time.sleep(3.0)  # inside the timed window
+        started = set(pids) | set(descendants(proc.pid))
+        assert alive(pids[-1:]) == pids[-1:]
+        proc.send_signal(sig)  # passed on to the benchmark
+        out, _ = proc.communicate(timeout=60)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    assert proc.returncode == 128 + sig
+    assert '"correct"' not in out
+    assert adopted(report) == []
     assert alive(started) == []
     assert _leftover_tmp() == []
 
@@ -200,16 +255,23 @@ def test_failed_check_fails_the_run_and_cleans_up():
         "serve.ServeWorkload.checks = lambda self, load: ['deliberately failed check']\n"
         "sys.exit(run.main(sys.argv[1:]))\n"
     )
-    proc = subprocess.run(
+    proc, report = adopting(
         [sys.executable, "-c", code, "--workload", "serve_read", "--seed", "3", "--seconds", "1"],
-        capture_output=True, text=True, cwd=ROOT, timeout=170,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
     )
+    try:
+        out, err = proc.communicate(timeout=170)
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
     assert proc.returncode == 1
-    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    result = json.loads(out.strip().splitlines()[-1])
     assert result["correct"] is False
-    pids = [int(line.split()[-1]) for line in proc.stderr.splitlines() if "daemon pid" in line]
+    pids = [int(line.split()[-1]) for line in err.splitlines() if "daemon pid" in line]
     assert len(pids) == 3
     assert alive(pids) == []
+    assert adopted(report) == []
     assert _leftover_tmp() == []
 
 
