@@ -1,7 +1,7 @@
 # Convenience targets for the reproduction repository.
 
 .PHONY: install test bench bench-report bench-parallel bench-kernels \
-	bench-live bench-memory bench-serving tables trace-report api all \
+	bench-live bench-memory bench-serving perfbench tables trace-report api all \
 	bounds-check dashboard wire-check obs-commit obs-diff obs-fsck \
 	obs-watch slo-check memory-check serve
 
@@ -31,6 +31,12 @@ bench-memory:
 
 bench-serving:
 	PYTHONPATH=src python scripts/cut_bench.py
+
+# Two-second run of each benchmark workload; fails on a failed output check.
+perfbench:
+	for workload in games mincut serve_read serve_mixed; do \
+		python3 perfbench/run.py --workload $$workload --seed 1 --seconds 2 || exit 1; \
+	done
 
 serve:
 	PYTHONPATH=src python -m repro.serving.server --port 0 \

@@ -28,10 +28,10 @@ from repro.parallel import TrialPool, fork_available, shmipc
 
 
 def _native_or_skip():
-    from repro.kernels import native
+    from repro.kernels import native_cc
 
     try:
-        return native.load_native()
+        return native_cc.load()
     except KernelUnavailableError as exc:
         pytest.skip(f"no native kernel toolchain: {exc}")
 

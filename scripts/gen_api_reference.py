@@ -277,24 +277,25 @@ bisection aborts loudly if a recorded transcript no longer reproduces
     "repro.kernels": """\
 ### Kernel backends
 
-Runtime-selected compute backends for the three hot kernels — Dinic
-max-flow over flat arc arrays, Karger–Stein edge contraction over an
-array union-find, and Lemma 3.2 Hadamard row products / decoding.
+Runtime-selected compute backends for the hot kernels — Dinic
+max-flow over flat arc arrays, Stoer–Wagner global min cut over a
+dense weight matrix, Karger–Stein edge contraction over an array
+union-find, and Lemma 3.2 Hadamard row products / decoding.
 Selection order is `--kernels {auto,python,native}` on
 `run_all` (installed via `select_backend`) → the `REPRO_KERNELS`
-environment variable → `auto`.  `auto` probes the native chain (numba
-JIT first, then a C library compiled on demand into
-`REPRO_KERNELS_CACHE`, default `~/.cache/repro-kernels`; pin one stage
-with `REPRO_KERNELS_NATIVE={numba,cc}`) and **degrades silently to the
-python reference** when no toolchain exists; an *explicit* `native`
+environment variable → `auto`.  `auto` loads the native backend (a C
+library compiled on demand into `REPRO_KERNELS_CACHE`, default
+`~/.cache/repro-kernels`) and **degrades silently to the python
+reference** when no C compiler exists; an *explicit* `native`
 selection raises `KernelUnavailableError` instead (`run_all` exits 4).
 
 The parity guarantee is bit-identity, not approximation: native
 kernels mirror the reference operation for operation — same traversal
 order, same float accumulation order, same consumption of pre-drawn
 uniform streams — so flows, cuts, and codewords are equal at the
-`==`/`array_equal` level (`tests/kernels/test_parity.py`, pinned seeds
-in `tests/graphs/test_karger_kernel_regression.py`).  The backend in
+`==`/`array_equal` level (`tests/kernels/test_parity.py`,
+`tests/kernels/test_stoer_wagner.py`, pinned seeds in
+`tests/graphs/test_karger_kernel_regression.py`).  The backend in
 use is reported through the `kernels.backend.<name>` obs counter and
 on `run_all`'s stderr.  Gates: `BENCH_PR6.json`
 (`python scripts/bench_report.py --pr6-only`).

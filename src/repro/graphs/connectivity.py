@@ -14,9 +14,11 @@ from __future__ import annotations
 import math
 from typing import Dict, FrozenSet, Hashable, List, Set, Tuple
 
+import numpy as np
+
 from repro.errors import GraphError
+from repro.graphs.csr import CSRGraph
 from repro.graphs.digraph import DiGraph, Node
-from repro.graphs.maxflow import max_flow
 from repro.graphs.ugraph import UGraph
 
 
@@ -50,24 +52,23 @@ def _reachable(graph: DiGraph, root: Node, forward: bool) -> Set[Node]:
     return seen
 
 
-def _unit_digraph(graph: UGraph) -> DiGraph:
-    """Unit-capacity bidirected view of an undirected graph.
+def _unit_snapshot(graph: UGraph) -> CSRGraph:
+    """Unit-capacity view of an undirected graph's CSR snapshot.
 
-    Built once per certification batch; its cached CSR snapshot is then
-    reused by every max-flow call instead of copying neighbor dicts per
-    pair.
+    ``graph.freeze()`` already stores each edge in both directions, so
+    swapping its weights for ones gives the unit-capacity bidirected
+    network.  Flows on it are integers, so the path counts do not
+    depend on the arc order.  Built once per certification batch; its
+    residual network is then reused by every flow call.
     """
-    unit = DiGraph(nodes=graph.nodes())
-    for a, b, _ in graph.edges():
-        unit.add_edge(a, b, 1.0)
-        unit.add_edge(b, a, 1.0)
-    return unit
+    csr = graph.freeze()
+    return CSRGraph(csr.labels, csr.tails, csr.heads, np.ones(csr.num_edges))
 
 
-def _unit_flow_value(unit: DiGraph, u: Node, v: Node) -> int:
+def _unit_flow_value(unit: CSRGraph, u: Node, v: Node) -> int:
     if u == v:
         raise GraphError("endpoints must differ")
-    return int(round(max_flow(unit, u, v).value))
+    return int(round(unit.max_flow(unit.index_of(u), unit.index_of(v)).value))
 
 
 def edge_disjoint_path_count(graph: UGraph, u: Node, v: Node) -> int:
@@ -76,7 +77,7 @@ def edge_disjoint_path_count(graph: UGraph, u: Node, v: Node) -> int:
     The graph is treated as unweighted: every present edge has capacity 1
     regardless of stored weight, matching Section 5's unweighted model.
     """
-    return _unit_flow_value(_unit_digraph(graph), u, v)
+    return _unit_flow_value(_unit_snapshot(graph), u, v)
 
 
 def edge_connectivity(graph: UGraph) -> int:
@@ -89,7 +90,7 @@ def edge_connectivity(graph: UGraph) -> int:
     nodes = graph.nodes()
     if len(nodes) < 2:
         raise GraphError("edge connectivity needs at least two nodes")
-    unit = _unit_digraph(graph)
+    unit = _unit_snapshot(graph)
     root = nodes[0]
     best = math.inf
     for other in nodes[1:]:
@@ -123,7 +124,7 @@ def certify_pairwise_connectivity(
     first failing pair.  Benchmarks E7 feed this the representative
     ``(u, v)`` pairs of Figures 3–6.
     """
-    unit = _unit_digraph(graph)
+    unit = _unit_snapshot(graph)
     counts: Dict[Tuple[Node, Node], int] = {}
     for u, v in pairs:
         count = _unit_flow_value(unit, u, v)

@@ -390,20 +390,35 @@ class CSRGraph:
         Skipped above :data:`_DENSE_N_LIMIT` nodes, where n^2 floats
         outgrow the edge arrays.
         """
-        n = self.num_nodes
-        if n > _DENSE_N_LIMIT:
+        if self.num_nodes > _DENSE_N_LIMIT:
             return None
         if self._dense is None:
-            adjacency = np.zeros((n, n), dtype=np.float64)
-            # add.at tolerates duplicate (tail, head) pairs from direct
-            # constructor calls; the from_* paths never produce them.
-            np.add.at(adjacency, (self._tails, self._heads), self._weights)
+            adjacency = self.adjacency_matrix()
             self._dense = (
                 adjacency,
                 adjacency.sum(axis=1),
                 adjacency.sum(axis=0),
             )
         return self._dense
+
+    def adjacency_matrix(self) -> np.ndarray:
+        """A new dense ``(n, n)`` matrix with ``W[tail, head]`` = weight.
+
+        The caller owns it (Stoer–Wagner merges its rows in place).
+        Raises :class:`GraphError` above :data:`_DENSE_N_LIMIT` nodes
+        instead of allocating ``8 n^2`` bytes.
+        """
+        n = self.num_nodes
+        if n > _DENSE_N_LIMIT:
+            raise GraphError(
+                f"dense adjacency is limited to {_DENSE_N_LIMIT} nodes; "
+                f"this graph has {n}"
+            )
+        adjacency = np.zeros((n, n), dtype=np.float64)
+        # add.at tolerates duplicate (tail, head) pairs from direct
+        # constructor calls; the from_* paths never produce them.
+        np.add.at(adjacency, (self._tails, self._heads), self._weights)
+        return adjacency
 
     def _dense_chunk_rows(self) -> int:
         # Per row the dense path materialises two (chunk, n) float blocks.

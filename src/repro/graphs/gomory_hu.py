@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from typing import Dict, FrozenSet, Hashable, List, Set, Tuple
 
 from repro.errors import GraphError
-from repro.graphs.maxflow import max_flow_undirected
+from repro.graphs.maxflow import bidirected, max_flow
 from repro.graphs.ugraph import Node, UGraph
 
 
@@ -101,10 +101,11 @@ def gomory_hu_tree(graph: UGraph) -> GomoryHuTree:
     root = nodes[0]
     parent: Dict[Node, Node] = {node: root for node in nodes[1:]}
     parent_weight: Dict[Node, float] = {}
+    directed = bidirected(graph)
     for i in range(1, len(nodes)):
         u = nodes[i]
         p = parent[u]
-        result = max_flow_undirected(graph, u, p)
+        result = max_flow(directed, u, p)
         parent_weight[u] = result.value
         side = result.source_side
         for j in range(i + 1, len(nodes)):

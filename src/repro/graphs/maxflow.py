@@ -5,8 +5,8 @@ The library needs max flow in three places:
 * certifying the edge-disjoint path counts of Lemma 5.5 / Figures 3–6
   (Menger's theorem: edge-disjoint ``u``–``v`` paths = max flow with unit
   capacities);
-* computing global *directed* min cuts (n - 1 flow calls, used to verify
-  balance and directed cut structure on small constructions);
+* computing global *directed* min cuts (``2(n - 1)`` flow calls, used to
+  verify balance and directed cut structure on small constructions);
 * Gomory–Hu tree construction.
 
 Dinic's algorithm runs in ``O(V^2 E)`` in general and ``O(E sqrt(V))`` on
@@ -17,7 +17,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
+from functools import cached_property
+from typing import Callable, Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
 
 from repro.errors import GraphError
 from repro.graphs.digraph import DiGraph, Node
@@ -51,8 +52,15 @@ class FlowResult:
     #: Nodes reachable from the source in the final residual graph; this
     #: is the source side of a minimum s-t cut.
     source_side: FrozenSet[Node]
-    #: Flow on each original directed edge (u, v) -> f >= 0.
-    edge_flows: Dict[Tuple[Node, Node], float]
+    #: Builds :attr:`edge_flows`; called once, on its first read.
+    flows_builder: Callable[[], Dict[Tuple[Node, Node], float]] = field(
+        repr=False, compare=False
+    )
+
+    @cached_property
+    def edge_flows(self) -> Dict[Tuple[Node, Node], float]:
+        """Flow on each original directed edge (u, v) -> f >= 0."""
+        return self.flows_builder()
 
 
 class DinicMaxFlow:
@@ -162,7 +170,8 @@ def max_flow(
     on the graph's cached CSR snapshot — residual arc arrays are built
     straight from the snapshot's flat edge arrays, with no per-call
     neighbor-dict copies, and the snapshot itself is reused across the
-    repeated flow calls of min-cut / connectivity certification.
+    repeated flow calls of directed min cut, Gomory–Hu and sparsifier
+    connectivity.  :attr:`FlowResult.edge_flows` is built on first read.
     ``engine="dict"`` is the original object-graph Dinic, kept as the
     reference implementation.
     """
@@ -174,16 +183,19 @@ def max_flow(
         csr = graph.freeze()
         result = csr.max_flow(csr.index_of(source), csr.index_of(sink))
         labels = csr.labels
-        tails = csr.tails
-        heads = csr.heads
-        flows = {
-            (labels[tails[e]], labels[heads[e]]): result.edge_flows[e]
-            for e in range(csr.num_edges)
-        }
+
+        def label_flows() -> Dict[Tuple[Node, Node], float]:
+            return {
+                (labels[u], labels[v]): f
+                for u, v, f in zip(
+                    csr.tails.tolist(), csr.heads.tolist(), result.edge_flows
+                )
+            }
+
         return FlowResult(
             value=result.value,
             source_side=frozenset(labels[i] for i in result.source_side),
-            edge_flows=flows,
+            flows_builder=label_flows,
         )
     if engine != "dict":
         raise GraphError(f"unknown max-flow engine {engine!r}")
@@ -202,17 +214,26 @@ def max_flow(
     return FlowResult(
         value=value,
         source_side=solver.reachable_from(source),
-        edge_flows=flows,
+        flows_builder=lambda: flows,
     )
 
 
-def max_flow_undirected(graph: UGraph, source: Node, sink: Node) -> FlowResult:
-    """Max flow in an undirected graph (each edge usable in either direction)."""
+def bidirected(graph: UGraph) -> DiGraph:
+    """The digraph with arcs ``u -> v`` and ``v -> u`` per undirected edge.
+
+    Callers running many flows on one graph build this once and reuse
+    its cached CSR snapshot.
+    """
     directed = DiGraph(nodes=graph.nodes())
     for u, v, w in graph.edges():
         directed.add_edge(u, v, w)
         directed.add_edge(v, u, w)
-    return max_flow(directed, source, sink)
+    return directed
+
+
+def max_flow_undirected(graph: UGraph, source: Node, sink: Node) -> FlowResult:
+    """Max flow in an undirected graph (each edge usable in either direction)."""
+    return max_flow(bidirected(graph), source, sink)
 
 
 def min_st_cut(graph: DiGraph, source: Node, sink: Node) -> Tuple[float, FrozenSet[Node]]:

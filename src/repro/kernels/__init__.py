@@ -1,25 +1,20 @@
 """Runtime-selected compiled kernel backends for the hot loops.
 
-The CSR layer (PR 1) moved the batched cut kernels onto dense BLAS; the
-remaining hot loops — Dinic max-flow, Karger–Stein contraction, and the
-Lemma 3.2 encode/decode sign-flip products — still executed as
-interpreted Python.  This package gives each of those loops a *kernel
-interface*: a small set of functions over flat typed arrays
-(``int64``/``float64``/``int8`` vectors, no Python objects inside the
-loop) with two interchangeable implementations:
+The CSR layer moved the batched cut kernels onto dense BLAS; the
+remaining hot loops — Dinic max-flow, Stoer–Wagner and Karger–Stein
+min cut, and the Lemma 3.2 encode/decode sign-flip products — get a
+*kernel interface* here: a small set of functions over flat typed
+arrays (``int64``/``float64``/``int8`` vectors, no Python objects
+inside the loop) with two interchangeable implementations:
 
 * the **python** backend (:mod:`repro.kernels.reference`) — the pure
   Python/NumPy reference implementation.  It is the semantic ground
   truth: every other backend must reproduce its outputs bit for bit on
   the integer-weighted constructions the reproduction runs on (the
   parity suite in ``tests/kernels`` enforces this).
-* the **native** backend (:mod:`repro.kernels.native`) — a compiled
-  implementation of the same algorithms, resolved at import time from
-  whichever toolchain the machine offers: ``numba`` ``@njit`` kernels
-  when numba is importable, otherwise a small C library compiled on
-  demand with the system C compiler and loaded through :mod:`ctypes`.
-  A Cython / prebuilt C-extension backend can slot into the same
-  loader chain later without touching any call site.
+* the **native** backend (:mod:`repro.kernels.native_cc`) — the same
+  algorithms in one C file (``_kernels.c``), compiled on demand with
+  the system C compiler and loaded through :mod:`ctypes`.
 
 Selection is runtime-configurable and always degrades gracefully::
 

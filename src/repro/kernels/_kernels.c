@@ -5,8 +5,7 @@
  * identical floating-point accumulation order, identical union-find
  * rule.  That mirroring is a hard contract — the parity suite asserts
  * bit-identical flows, cuts, and codewords against the reference — so
- * any change here must be made in lockstep with reference.py (and with
- * native_numba.py, the numba rendering of the same algorithms).
+ * any change here must be made in lockstep with reference.py.
  *
  * Built on demand by repro/kernels/native_cc.py:
  *     cc -O3 -fPIC -shared -o repro_kernels_<hash>.so _kernels.c
@@ -17,6 +16,7 @@
 
 #include <stdint.h>
 #include <float.h>
+#include <math.h>
 
 #define EPS 1e-12
 
@@ -232,6 +232,70 @@ int64_t repro_contract_to(
     for (int64_t i = 0; i < n; i++) parent[i] = uf_find(parent, i);
     *used_out = used;
     return current;
+}
+
+/* ------------------------------------------------------------------ */
+/* Stoer–Wagner global min cut over a dense symmetric weight matrix    */
+/* ------------------------------------------------------------------ */
+
+double repro_stoer_wagner(
+    int64_t n,
+    double *w,        /* n x n row-major; rows merged in place */
+    double *key,      /* n scratch: weight into this phase's set */
+    uint8_t *merged,  /* n scratch: 1 once merged into another node */
+    uint8_t *in_set,  /* n scratch: 1 once in this phase's set */
+    int64_t *owner,   /* n scratch: node each original node merged into */
+    uint8_t *side)    /* n out: the min cut's side */
+{
+    double best = HUGE_VAL;
+    for (int64_t i = 0; i < n; i++) {
+        merged[i] = 0;
+        owner[i] = i;
+        side[i] = 0;
+    }
+    for (int64_t remaining = n; remaining > 1; remaining--) {
+        int64_t start = 0;
+        while (merged[start]) start++;
+        const double *row = w + start * n;
+        for (int64_t v = 0; v < n; v++) {
+            in_set[v] = merged[v];
+            key[v] = row[v];
+        }
+        in_set[start] = 1;
+        int64_t s = start, t = start;
+        double cut = 0.0;
+        for (int64_t step = 1; step < remaining; step++) {
+            int64_t chosen = -1;
+            for (int64_t v = 0; v < n; v++) {
+                if (!in_set[v] && (chosen < 0 || key[v] > key[chosen]))
+                    chosen = v;
+            }
+            cut = key[chosen];
+            in_set[chosen] = 1;
+            row = w + chosen * n;
+            for (int64_t v = 0; v < n; v++) {
+                if (!in_set[v]) key[v] += row[v];
+            }
+            s = t;
+            t = chosen;
+        }
+        if (cut < best) {
+            best = cut;
+            for (int64_t i = 0; i < n; i++) side[i] = owner[i] == t;
+        }
+        double *rs = w + s * n;
+        const double *rt = w + t * n;
+        for (int64_t v = 0; v < n; v++) {
+            if (merged[v] || v == s || v == t) continue;
+            rs[v] += rt[v];
+            w[v * n + s] = rs[v];
+        }
+        merged[t] = 1;
+        for (int64_t i = 0; i < n; i++) {
+            if (owner[i] == t) owner[i] = s;
+        }
+    }
+    return best;
 }
 
 /* ------------------------------------------------------------------ */

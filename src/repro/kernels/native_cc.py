@@ -131,6 +131,10 @@ class _CcKernels:
             ctypes.c_int64, _i64p, _i64p, _f64p, _i64p,
             ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, _f64p, _i64p,
         ]
+        lib.repro_stoer_wagner.restype = ctypes.c_double
+        lib.repro_stoer_wagner.argtypes = [
+            ctypes.c_int64, _f64p, _f64p, _u8p, _u8p, _i64p, _u8p,
+        ]
         lib.repro_had_combine_many.restype = None
         lib.repro_had_combine_many.argtypes = [
             ctypes.c_int64, _i8p, _i64p, ctypes.c_int64, _i64p, _i64p,
@@ -203,6 +207,26 @@ class _CcKernels:
         )
         return int(reached), int(used.value)
 
+    def stoer_wagner(self, weights, side) -> float:
+        n = side.size
+        if weights.shape != (n, n):
+            raise ValueError(f"weights must be ({n}, {n}), got {weights.shape}")
+        key = np.empty(n, dtype=np.float64)
+        merged = np.empty(n, dtype=np.uint8)
+        in_set = np.empty(n, dtype=np.uint8)
+        owner = np.empty(n, dtype=np.int64)
+        return float(
+            self._lib.repro_stoer_wagner(
+                n,
+                _as(weights, np.float64, _f64p),
+                _as(key, np.float64, _f64p),
+                _as(merged, np.uint8, _u8p),
+                _as(in_set, np.uint8, _u8p),
+                _as(owner, np.int64, _i64p),
+                _as(side, np.uint8, _u8p),
+            )
+        )
+
     def had_combine_many(self, h, coeff) -> np.ndarray:
         side = h.shape[0]
         coeff = np.ascontiguousarray(coeff, dtype=np.int64)
@@ -259,6 +283,7 @@ def load() -> KernelBackend:
         dinic_solve=kernels.dinic_solve,
         residual_reachable=kernels.residual_reachable,
         contract_to=kernels.contract_to,
+        stoer_wagner=kernels.stoer_wagner,
         had_combine_many=kernels.had_combine_many,
         had_row_products=kernels.had_row_products,
         had_decode_one=kernels.had_decode_one,

@@ -34,6 +34,24 @@ python and native backends consume an identical stream.  On return
 ``parent`` is fully path-compressed (``parent[i]`` is the component
 root for every ``i``) and the reached super-node count is reported.
 
+**Stoer–Wagner** (``stoer_wagner``) finds the global min cut of an
+undirected graph given as a dense symmetric ``(n, n)`` ``float64``
+matrix ``weights`` (zero diagonal, entries non-negative and not NaN),
+which it overwrites while merging nodes, and returns the cut value;
+the ``(n,)`` ``uint8`` vector ``side`` receives the indicator of the
+cut's side.  Each phase starts from the lowest-indexed live node; each
+step scans the live nodes outside the growing set in index order,
+keeps the *first* maximum of their connection weights, and then adds
+that node's row to the weights of the nodes still outside (one
+``+=`` per node per step, in step order).  The phase's last node ``t``
+is merged into the one before it, ``s`` (row ``s`` += row ``t`` over
+the other live nodes, mirrored into column ``s``), keeping ``s``'s
+index.  The side is the group of original nodes merged into ``t`` in
+the phase with the strictly smallest cut (the first such phase).
+These rules reproduce the dict-of-dicts formulation's tie-breaking and
+addition order, so the cut and its side match it exactly.  The work is
+``O(n^3)``.
+
 **Hadamard** kernels evaluate Lemma 3.2 products against the memoized
 Sylvester matrix ``H`` (entries ±1, ``int8``): ``had_combine_many``
 computes ``H^T C_b H`` per coefficient block (exact ``int64``),
@@ -45,6 +63,7 @@ like the pre-kernel implementation did.
 
 from __future__ import annotations
 
+import math
 from typing import List, Tuple
 
 import numpy as np
@@ -254,6 +273,46 @@ def contract_to(
 
 
 # ----------------------------------------------------------------------
+# Stoer–Wagner global min cut over a dense symmetric weight matrix
+# ----------------------------------------------------------------------
+def stoer_wagner(weights: np.ndarray, side: np.ndarray) -> float:
+    """Global min cut value; fills ``side`` and merges ``weights`` in place.
+
+    Each step is one vector operation over all ``n`` slots: entries of
+    nodes already in the set (or merged away) are updated too but never
+    read again, and ``np.argmax`` returns the first maximum, so every
+    value read matches the per-node loop of the native rendering.
+    """
+    n = weights.shape[0]
+    merged = np.zeros(n, dtype=bool)
+    owner = np.arange(n)
+    best = math.inf
+    for remaining in range(n, 1, -1):
+        start = int(np.argmin(merged))
+        in_set = merged.copy()
+        in_set[start] = True
+        key = weights[start].copy()
+        s = t = start
+        cut = 0.0
+        for _ in range(remaining - 1):
+            chosen = int(np.argmax(np.where(in_set, -np.inf, key)))
+            cut = float(key[chosen])
+            in_set[chosen] = True
+            key += weights[chosen]
+            s, t = t, chosen
+        if cut < best:
+            best = cut
+            side[:] = owner == t
+        others = ~merged
+        others[s] = others[t] = False
+        weights[s, others] += weights[t, others]
+        weights[others, s] = weights[s, others]
+        merged[t] = True
+        owner[owner == t] = s
+    return best
+
+
+# ----------------------------------------------------------------------
 # Lemma 3.2 Hadamard products
 # ----------------------------------------------------------------------
 def had_combine_many(h: np.ndarray, coeff: np.ndarray) -> np.ndarray:
@@ -301,6 +360,7 @@ def make_backend():
         dinic_solve=dinic_solve,
         residual_reachable=residual_reachable,
         contract_to=contract_to,
+        stoer_wagner=stoer_wagner,
         had_combine_many=had_combine_many,
         had_row_products=had_row_products,
         had_decode_one=had_decode_one,

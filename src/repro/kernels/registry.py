@@ -41,11 +41,11 @@ class KernelBackend:
     """One implementation of the kernel interface.
 
     ``name`` is the selection name (``python`` / ``native``); ``source``
-    records which toolchain actually backs it (``python``, ``numba``,
-    or ``cc``) — the distinction shows up in telemetry and
-    ``BENCH_PR6.json`` so a run is attributable to the exact code that
-    produced it.  The callable slots share the flat-array calling
-    convention documented in :mod:`repro.kernels.reference`.
+    records which toolchain actually backs it (``python`` or ``cc``) —
+    the distinction shows up in telemetry and benchmark records so a run
+    is attributable to the exact code that produced it.  The callable
+    slots share the flat-array calling convention documented in
+    :mod:`repro.kernels.reference`.
     """
 
     name: str
@@ -53,6 +53,7 @@ class KernelBackend:
     dinic_solve: Callable[..., Tuple[float, int]]
     residual_reachable: Callable[..., None]
     contract_to: Callable[..., Tuple[int, int]]
+    stoer_wagner: Callable[..., float]
     had_combine_many: Callable[..., Any]
     had_row_products: Callable[..., Any]
     had_decode_one: Callable[..., float]
@@ -88,9 +89,9 @@ def _native_backend() -> Optional[KernelBackend]:
     if _NATIVE_FAILURE is not None:
         return None
     try:
-        from repro.kernels import native
+        from repro.kernels import native_cc
 
-        backend = native.load_native()
+        backend = native_cc.load()
     except KernelUnavailableError as exc:
         _NATIVE_FAILURE = str(exc)
         return None

@@ -46,7 +46,7 @@ import traceback as _tb
 from concurrent.futures import ProcessPoolExecutor, TimeoutError as _FutTimeout
 from concurrent.futures.process import BrokenProcessPool
 from itertools import count as _itercount
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -86,6 +86,10 @@ _HEARTBEAT_Q: Optional[Any] = None
 #: Seconds per result-poll slice while heartbeats are flowing: the
 #: parent wakes this often to drain beats and publish ``live.tick``.
 _POLL_S = 0.1
+
+#: Longest wait, once every chunk has returned, for ``end`` beats still
+#: in a worker's queue feeder thread (a killed worker never sends one).
+_END_BEAT_WAIT_S = 2.0
 
 
 def fork_available() -> bool:
@@ -251,6 +255,8 @@ class TrialPool:
             "shm_chunks": 0,
             "pickle_chunks": 0,
         }
+        #: Chunk starts whose ``end`` beat the in-flight ``map`` drained.
+        self._ended: Set[int] = set()
 
     def map(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> List[Any]:
         """``[fn(item) for item in items]``, fanned out when it pays.
@@ -289,8 +295,10 @@ class TrialPool:
         if _live.active() is not None:
             hb_queue = mp.get_context("fork").Queue()
         _HEARTBEAT_Q = hb_queue
+        self._ended.clear()
         try:
             payloads = self._run_parallel(token, chunks)
+            self._await_end_beats({payload["start"] for payload in payloads})
             from repro.parallel import obsmerge
 
             stats = {"shm_chunks": 0, "pickle_chunks": 0}
@@ -450,8 +458,7 @@ class TrialPool:
                 if deadline is not None and time.monotonic() >= deadline:
                     raise
 
-    @staticmethod
-    def _drain_heartbeats() -> None:
+    def _drain_heartbeats(self) -> None:
         """Move queued worker beats onto the live bus, then tick it."""
         hb_queue = _HEARTBEAT_Q
         if hb_queue is None:
@@ -461,8 +468,35 @@ class TrialPool:
                 record = hb_queue.get_nowait()
             except (_queue.Empty, OSError, ValueError):
                 break
-            _live.publish(record)
+            self._publish_beat(record)
         _live.tick()
+
+    def _publish_beat(self, record: Dict[str, Any]) -> None:
+        if record.get("phase") == "end":
+            self._ended.add(record["chunk"])
+        _live.publish(record)
+
+    def _await_end_beats(self, starts: Set[int]) -> None:
+        """Publish beats until each chunk in ``starts`` has sent ``end``.
+
+        A worker puts its ``end`` beat before returning its chunk, but
+        the beat reaches the pipe through the worker's queue feeder
+        thread, so the result can arrive first.  The wait is bounded by
+        :data:`_END_BEAT_WAIT_S` for a worker killed in between.
+        """
+        hb_queue = _HEARTBEAT_Q
+        if hb_queue is None:
+            return
+        deadline = time.monotonic() + _END_BEAT_WAIT_S
+        while not starts <= self._ended:
+            remaining = deadline - time.monotonic()
+            if remaining <= 0:
+                break
+            try:
+                record = hb_queue.get(timeout=remaining)
+            except (_queue.Empty, OSError, ValueError):
+                break
+            self._publish_beat(record)
 
     # -- failure plumbing ----------------------------------------------
 

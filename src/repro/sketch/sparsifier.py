@@ -25,9 +25,8 @@ import math
 from typing import AbstractSet, Dict, Tuple
 
 from repro.errors import ParameterError, SketchError
-from repro.graphs.connectivity import edge_disjoint_path_count
 from repro.graphs.digraph import DiGraph, Node
-from repro.graphs.maxflow import max_flow_undirected
+from repro.graphs.maxflow import bidirected, max_flow
 from repro.graphs.mincut import stoer_wagner
 from repro.graphs.ugraph import UGraph
 from repro.sketch.base import CutSketch, SketchModel
@@ -66,8 +65,9 @@ def _edge_connectivity_lower_bounds(
             bounds[(u, v)] = global_min
         return bounds
     if mode == "exact":
+        directed = bidirected(graph)
         for u, v, _ in graph.edges():
-            bounds[(u, v)] = max_flow_undirected(graph, u, v).value
+            bounds[(u, v)] = max_flow(directed, u, v).value
         return bounds
     raise ParameterError(f"unknown connectivity mode {mode!r}")
 

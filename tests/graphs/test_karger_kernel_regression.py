@@ -19,7 +19,6 @@ from repro.kernels import registry, using_backend
 @pytest.fixture(autouse=True)
 def _clean_kernel_state(monkeypatch):
     monkeypatch.delenv("REPRO_KERNELS", raising=False)
-    monkeypatch.delenv("REPRO_KERNELS_NATIVE", raising=False)
     registry._reset_for_tests()
     yield
     registry._reset_for_tests()
@@ -68,9 +67,9 @@ def test_pinned_cut_python_backend(gseed, seed, value, side):
 @pytest.mark.parametrize("gseed,seed,value,side", PINNED)
 def test_pinned_cut_native_backend(gseed, seed, value, side):
     try:
-        from repro.kernels import native
+        from repro.kernels import native_cc
 
-        native.load_native()
+        native_cc.load()
     except registry.KernelUnavailableError as exc:
         pytest.skip(f"no native kernel toolchain: {exc}")
     g = _graph(gseed)

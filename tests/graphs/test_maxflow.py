@@ -128,6 +128,18 @@ class TestMinCutCertificate:
         for (u, v), f in result.edge_flows.items():
             assert 0.0 <= f <= g.weight(u, v) + 1e-9
 
+    @pytest.mark.parametrize("engine", ["csr", "dict"])
+    def test_edge_flows_built_once_on_first_read(self, engine):
+        g = DiGraph()
+        g.add_edge("s", "a", 2.0)
+        g.add_edge("a", "t", 9.0)
+        result = max_flow(g, "s", "t", engine=engine)
+        assert "edge_flows" not in vars(result)
+        g.add_edge("s", "t", 5.0)  # the flows describe the solved snapshot
+        flows = result.edge_flows
+        assert flows == {("s", "a"): 2.0, ("a", "t"): 2.0}
+        assert result.edge_flows is flows
+
 
 class TestUndirectedFlow:
     def test_undirected_path(self):

@@ -8,10 +8,9 @@ from repro.kernels import registry
 
 @pytest.fixture(autouse=True)
 def clean_kernel_state(monkeypatch):
-    # Kernel tests select backends explicitly; ambient REPRO_KERNELS*
-    # (the CI kernels matrix leg exports them) would skew selections.
+    # Kernel tests select backends explicitly; an ambient REPRO_KERNELS
+    # (the CI kernels matrix leg exports it) would skew selections.
     monkeypatch.delenv("REPRO_KERNELS", raising=False)
-    monkeypatch.delenv("REPRO_KERNELS_NATIVE", raising=False)
     registry._reset_for_tests()
     obs.disable()
     obs.reset_metrics()
@@ -24,8 +23,8 @@ def clean_kernel_state(monkeypatch):
 def native_backend_or_skip():
     """The native backend, or skip the test on toolchain-less machines."""
     try:
-        from repro.kernels import native
+        from repro.kernels import native_cc
 
-        return native.load_native()
+        return native_cc.load()
     except registry.KernelUnavailableError as exc:
         pytest.skip(f"no native kernel toolchain: {exc}")

@@ -67,12 +67,12 @@ class TestResolution:
 
     def test_auto_degrades_silently_on_native_import_failure(self, monkeypatch):
         """``auto`` falls back to the python reference, with no error."""
-        from repro.kernels import native
+        from repro.kernels import native_cc
 
         def broken_load():
             raise KernelUnavailableError("forced import failure (test)")
 
-        monkeypatch.setattr(native, "load_native", broken_load)
+        monkeypatch.setattr(native_cc, "load", broken_load)
         registry._reset_for_tests()
         backend = get_backend()  # auto selection: must not raise
         assert backend.name == "python"
@@ -82,12 +82,12 @@ class TestResolution:
         assert "native" not in available_backends()
 
     def test_explicit_native_raises_on_import_failure(self, monkeypatch):
-        from repro.kernels import native
+        from repro.kernels import native_cc
 
         def broken_load():
             raise KernelUnavailableError("forced import failure (test)")
 
-        monkeypatch.setattr(native, "load_native", broken_load)
+        monkeypatch.setattr(native_cc, "load", broken_load)
         registry._reset_for_tests()
         select_backend("native")
         with pytest.raises(KernelUnavailableError, match="via flag"):
@@ -97,19 +97,19 @@ class TestResolution:
     def test_explicit_native_via_env_raises_on_import_failure(
         self, monkeypatch
     ):
-        from repro.kernels import native
+        from repro.kernels import native_cc
 
         def broken_load():
             raise KernelUnavailableError("forced import failure (test)")
 
-        monkeypatch.setattr(native, "load_native", broken_load)
+        monkeypatch.setattr(native_cc, "load", broken_load)
         registry._reset_for_tests()
         monkeypatch.setenv("REPRO_KERNELS", "native")
         with pytest.raises(KernelUnavailableError, match="via env"):
             get_backend()
 
     def test_native_failure_is_memoized(self, monkeypatch):
-        from repro.kernels import native
+        from repro.kernels import native_cc
 
         calls = []
 
@@ -117,27 +117,12 @@ class TestResolution:
             calls.append(1)
             raise KernelUnavailableError("forced import failure (test)")
 
-        monkeypatch.setattr(native, "load_native", broken_load)
+        monkeypatch.setattr(native_cc, "load", broken_load)
         registry._reset_for_tests()
         get_backend()
         get_backend()
         get_backend()
         assert len(calls) == 1  # the toolchain probe ran exactly once
-
-    def test_numba_pin_degrades_without_numba(self, monkeypatch):
-        """Pinning the numba toolchain on a numba-less machine fails
-        cleanly, and ``auto`` still degrades to python."""
-        try:
-            import numba  # noqa: F401
-
-            pytest.skip("numba is installed here")
-        except ImportError:
-            pass
-        monkeypatch.setenv("REPRO_KERNELS_NATIVE", "numba")
-        registry._reset_for_tests()
-        backend = get_backend()  # auto: silent degradation
-        assert backend.name == "python"
-        assert "numba" in registry.native_failure()
 
 
 class TestObsReporting:

@@ -76,7 +76,7 @@ class TestConstruction:
 
 
 class TestLemma55:
-    @given(st.sampled_from([4, 6, 9]), st.integers(0, 3), st.integers(0, 2**31))
+    @given(st.sampled_from([4, 6, 9, 12]), st.integers(0, 3), st.integers(0, 2**31))
     @settings(max_examples=25, deadline=None)
     def test_mincut_equals_2int_under_hypothesis(self, side, gamma, seed):
         if side < 3 * gamma:
@@ -89,14 +89,15 @@ class TestLemma55:
             # Zero intersections disconnect A u A' from B u B'.
             assert value == 0.0
         else:
-            assert value == pytest.approx(2.0 * gamma)
+            # Unit weights: the identity holds exactly, not approximately.
+            assert value == 2.0 * gamma
 
     def test_hypothesis_flag(self):
         x, y = planted_strings(3, 2, seed=3)  # sqrt(N)=3 < 3*2
         gxy = build_gxy(x, y)
         assert not gxy.lemma_55_applicable()
 
-    @given(st.sampled_from([6, 9]), st.integers(1, 2), st.integers(0, 2**31))
+    @given(st.sampled_from([6, 9, 12]), st.integers(1, 2), st.integers(0, 2**31))
     @settings(max_examples=10, deadline=None)
     def test_2gamma_connectivity_on_figure_pairs(self, side, gamma, seed):
         """Figures 3–6: every representative pair admits >= 2 gamma

@@ -10,7 +10,9 @@ telemetry (serial == parallel with or without anyone watching), and
 with no bus installed no queue is ever created.
 """
 
+import threading
 import time
+from multiprocessing import util as mp_util
 
 import numpy as np
 import pytest
@@ -21,7 +23,7 @@ from repro.obs.live import LiveAggregator, LiveBus
 from repro.obs.metrics import REGISTRY
 from repro.obs.sink import ListSink
 from repro.obs.slo import SloEngine, parse_spec
-from repro.parallel import TrialPool, fork_available, run_trials
+from repro.parallel import TrialPool, fork_available, obsmerge, run_trials
 from repro.parallel import pool as pool_mod
 
 pytestmark = pytest.mark.skipif(
@@ -65,6 +67,33 @@ class TestHeartbeatFlow:
         )
         # Every trial's counter movement shows up in some beat's delta.
         assert shipped == 8
+
+    def test_late_end_beat_is_not_dropped(self, monkeypatch):
+        # Chunk 0's ``end`` beat reaches the queue half a second after
+        # the chunk returned, as when it waits in the worker's queue
+        # feeder thread; map must still put it on the bus.
+        real_beat = obsmerge.HeartbeatSender.beat
+
+        def late_end_beat(sender, phase, trial, done):
+            if phase != "end" or sender.chunk != 0:
+                return real_beat(sender, phase, trial, done)
+
+            def deliver():
+                time.sleep(0.5)
+                real_beat(sender, phase, trial, done)
+
+            thread = threading.Thread(target=deliver)
+            thread.start()
+            # Keep the worker from closing its queue before the beat.
+            mp_util.Finalize(None, thread.join, exitpriority=100)
+
+        monkeypatch.setattr(obsmerge.HeartbeatSender, "beat", late_end_beat)
+        with live.publishing() as bus:
+            beats = []
+            bus.subscribe(beats.append, kinds=["heartbeat"])
+            TrialPool(jobs=2).map(lambda x: x, list(range(8)))
+        ended = sorted(b["chunk"] for b in beats if b["phase"] == "end")
+        assert ended == [start for start, _ in pool_mod.chunk_plan(8, 2)]
 
     def test_ticks_are_published_while_waiting(self):
         with live.publishing() as bus:

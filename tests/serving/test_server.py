@@ -8,9 +8,11 @@ import pytest
 
 from repro import kernels as kernels_mod
 from repro import obs
+from repro.graphs.csr import _DENSE_N_LIMIT
 from repro.graphs.digraph import DiGraph
 from repro.graphs.generators import random_regularish_ugraph
 from repro.graphs.mincut import directed_global_min_cut, stoer_wagner
+from repro.graphs.ugraph import UGraph
 from repro.obs import capture as obs_capture
 from repro.serving.client import AsyncServingClient, ServingClient
 from repro.serving.protocol import ServingError
@@ -126,6 +128,16 @@ class TestErrors:
                 )()
                 with pytest.raises(ServingError, match="re-register"):
                     client.cut_weight("f" * 64, [0])
+
+    def test_min_cut_above_dense_limit_is_a_serving_error(self):
+        n = _DENSE_N_LIMIT + 1
+        graph = UGraph(edges=[(i, i + 1, 1.0) for i in range(n - 1)])
+        with ServerThread() as thread:
+            with ServingClient("127.0.0.1", thread.port) as client:
+                oid = client.register_graph(graph)
+                with pytest.raises(ServingError, match="dense adjacency"):
+                    client.min_cut(oid)
+                assert client.ping()["name"] == "sketch-server"
 
     def test_unknown_op_is_a_serving_error(self):
         with ServerThread() as thread:
