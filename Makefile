@@ -1,7 +1,7 @@
 # Convenience targets for the reproduction repository.
 
 .PHONY: install test bench bench-report bench-parallel bench-kernels \
-	bench-live bench-memory bench-serving perfbench tables trace-report api all \
+	bench-live bench-memory bench-serving perfbench digest tables trace-report api all \
 	bounds-check dashboard wire-check obs-commit obs-diff obs-fsck \
 	obs-watch slo-check memory-check serve
 
@@ -37,6 +37,13 @@ perfbench:
 	for workload in games mincut serve_read serve_mixed; do \
 		python3 perfbench/run.py --workload $$workload --seed 1 --seconds 2 || exit 1; \
 	done
+
+# sha256 of run_all's stdout (E1-E10); CI's digest-parity job compares it
+# between the base commit and the change.
+digest:
+	@out=$$(mktemp) && trap 'rm -f "$$out"' EXIT && \
+	PYTHONPATH=src python -m repro.experiments.run_all --no-telemetry > "$$out" && \
+	sha256sum < "$$out" | cut -d' ' -f1
 
 serve:
 	PYTHONPATH=src python -m repro.serving.server --port 0 \

@@ -102,16 +102,38 @@ class ForAllDecoder:
 
         return sampled(), self.enumeration_limit
 
+    def _fixed_parts(
+        self, pair: int, t_nodes: Set[NodeLabel]
+    ) -> Tuple[Set[NodeLabel], List[NodeLabel]]:
+        """The subset-independent parts of every cut side of one decision:
+        ``V_{p+1} \\ T`` and the nodes of ``V_{p+2}, V_{p+3}, ...``."""
+        params = self.params
+        rest = set(params.group_nodes(pair + 1)) - t_nodes
+        later = [
+            node
+            for group in range(pair + 2, params.num_groups)
+            for node in params.group_nodes(group)
+        ]
+        return rest, later
+
+    @staticmethod
+    def _join(
+        subset: FrozenSet[NodeLabel],
+        rest: Set[NodeLabel],
+        later: List[NodeLabel],
+    ) -> Set[NodeLabel]:
+        # Always subset, then rest, then later: sketches that scan the
+        # side's own iteration order sum in the same order every time.
+        side: Set[NodeLabel] = set(subset)
+        side.update(rest)
+        side.update(later)
+        return side
+
     def cut_side(
         self, pair: int, subset: FrozenSet[NodeLabel], t_nodes: Set[NodeLabel]
     ) -> Set[NodeLabel]:
         """``S = U u (V_{p+1} \\ T) u V_{p+2} u ...`` (proof of Thm 1.2)."""
-        params = self.params
-        side: Set[NodeLabel] = set(subset)
-        side.update(set(params.group_nodes(pair + 1)) - t_nodes)
-        for later in range(pair + 2, params.num_groups):
-            side.update(params.group_nodes(later))
-        return side
+        return self._join(subset, *self._fixed_parts(pair, t_nodes))
 
     def estimate_block_weight(
         self,
@@ -138,6 +160,7 @@ class ForAllDecoder:
         pair, left_index, cluster = params.locate_string(string_index)
         t_nodes = self._query_nodes(pair, cluster, t)
         subsets, _total = self._half_subsets(pair)
+        rest, later = self._fixed_parts(pair, t_nodes)
 
         best_value = -np.inf
         best_subset: Optional[FrozenSet[NodeLabel]] = None
@@ -152,7 +175,7 @@ class ForAllDecoder:
             # batched sketch probe per chunk; the sequential scan below
             # keeps the first-strictly-greater argmax of the loop form.
             sides = [
-                frozenset(self.cut_side(pair, subset, t_nodes)) for subset in chunk
+                frozenset(self._join(subset, rest, later)) for subset in chunk
             ]
             fixed = csr.cut_weights(csr.membership_matrix(sides))
             if query_many is not None:

@@ -77,6 +77,8 @@ def run_gap_hamming_game(
     """
     if rounds < 1:
         raise ParameterError("rounds must be positive")
+    if enumeration_limit < 1:
+        raise ParameterError("enumeration_limit must be positive")
     gen = ensure_rng(rng)
     encoder = ForAllEncoder(params)
 

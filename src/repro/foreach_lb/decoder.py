@@ -56,10 +56,9 @@ class ForEachDecoder:
         # The decoder owns its own encoder instance purely to share the
         # Lemma 3.2 matrix and the public skeleton; it never sees s.
         self._encoder = ForEachEncoder(params)
-        self._skeleton = self._encoder.skeleton()
         # Frozen once: every bit's four fixed-backward offsets are
         # evaluated through this snapshot in a single batched kernel call.
-        self._skeleton_csr = self._skeleton.freeze()
+        self._skeleton_csr = self._encoder.skeleton().freeze()
 
     def query_plans(self, q: int) -> List[CutQueryPlan]:
         """The four cut queries recovering bit ``q`` (Figure 1 layout)."""

@@ -77,6 +77,8 @@ class ForEachEncoder:
                 "internal inconsistency: Lemma 3.2 matrix has "
                 f"{self._matrix.num_rows} rows, expected {params.bits_per_block}"
             )
+        # Built once; every encode and skeleton() call gets a copy.
+        self._skeleton = self._build_skeleton()
 
     @property
     def matrix(self) -> Lemma32Matrix:
@@ -96,7 +98,11 @@ class ForEachEncoder:
 
         Bob reconstructs this himself (it depends only on the public
         parameters) and subtracts its contribution from his cut queries.
+        Returns a fresh copy the caller may mutate.
         """
+        return self._skeleton.copy()
+
+    def _build_skeleton(self) -> DiGraph:
         params = self.params
         graph = DiGraph()
         for pair in range(params.num_groups - 1):
@@ -126,7 +132,7 @@ class ForEachEncoder:
         if not np.all(np.abs(s) == 1):
             raise ParameterError("string entries must be +-1")
 
-        graph = self.skeleton()
+        graph = self._skeleton.copy()
         failed: Set[Tuple[int, int, int]] = set()
         cap = self.infinity_cap()
         base = self.base_weight()
@@ -175,6 +181,7 @@ class ForEachEncoder:
         params = self.params
         left = params.cluster_nodes(pair, cluster_i)
         right = params.cluster_nodes(pair + 1, cluster_j)
+        values = weights.tolist()
         for ui, u in enumerate(left):
             for vi, v in enumerate(right):
-                graph.add_edge(u, v, float(weights[ui * params.inv_eps + vi]))
+                graph.add_edge(u, v, values[ui * params.inv_eps + vi])

@@ -87,6 +87,8 @@ def run_index_game(
     """
     if rounds < 1:
         raise ParameterError("rounds must be positive")
+    if boost < 1:
+        raise ParameterError("boost must be at least 1")
     gen = ensure_rng(rng)
     encoder = ForEachEncoder(params)
     decoder = ForEachDecoder(params)

@@ -32,12 +32,15 @@ hypothesis equivalence suite checks the kernels against.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
+from operator import itemgetter
 from typing import (
     AbstractSet,
     Dict,
     FrozenSet,
     Hashable,
     Iterable,
+    ItemsView,
     List,
     Optional,
     Sequence,
@@ -224,20 +227,7 @@ class CSRGraph:
     def from_digraph(cls, graph) -> "CSRGraph":
         """Snapshot a :class:`~repro.graphs.digraph.DiGraph`."""
         labels = graph.nodes()
-        index = {label: i for i, label in enumerate(labels)}
-        m = graph.num_edges
-        tails = np.empty(m, dtype=np.int64)
-        heads = np.empty(m, dtype=np.int64)
-        weights = np.empty(m, dtype=np.float64)
-        pos = 0
-        for u in labels:
-            ui = index[u]
-            for v, w in graph.iter_successors(u):
-                tails[pos] = ui
-                heads[pos] = index[v]
-                weights[pos] = w
-                pos += 1
-        return cls(labels, tails, heads, weights)
+        return cls._from_rows(labels, [graph.iter_successors(u) for u in labels])
 
     @classmethod
     def from_ugraph(cls, graph) -> "CSRGraph":
@@ -247,19 +237,31 @@ class CSRGraph:
         kernels on the snapshot compute undirected cut quantities.
         """
         labels = graph.nodes()
+        return cls._from_rows(labels, [graph.iter_neighbors(u) for u in labels])
+
+    @classmethod
+    def _from_rows(
+        cls, labels: List[Node], rows: List[ItemsView[Node, float]]
+    ) -> "CSRGraph":
+        """Snapshot from live per-node ``(head, weight)`` views in label order.
+
+        Edges are laid out row by row in each row's own order, the order
+        the per-arc loop wrote them in; the rows are read, not copied.
+        """
         index = {label: i for i, label in enumerate(labels)}
-        m = 2 * graph.num_edges
-        tails = np.empty(m, dtype=np.int64)
-        heads = np.empty(m, dtype=np.int64)
-        weights = np.empty(m, dtype=np.float64)
-        pos = 0
-        for u in labels:
-            ui = index[u]
-            for v, w in graph.iter_neighbors(u):
-                tails[pos] = ui
-                heads[pos] = index[v]
-                weights[pos] = w
-                pos += 1
+        degrees = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+        m = int(degrees.sum())
+        tails = np.repeat(np.arange(len(labels), dtype=np.int64), degrees)
+        heads = np.fromiter(
+            map(index.__getitem__, map(itemgetter(0), chain.from_iterable(rows))),
+            dtype=np.int64,
+            count=m,
+        )
+        weights = np.fromiter(
+            map(itemgetter(1), chain.from_iterable(rows)),
+            dtype=np.float64,
+            count=m,
+        )
         return cls(labels, tails, heads, weights)
 
     # ------------------------------------------------------------------
@@ -318,20 +320,32 @@ class CSRGraph:
     ) -> np.ndarray:
         """Boolean ``(K, n)`` matrix: row ``k`` is the indicator of side ``k``.
 
-        Raises :class:`GraphError` on labels absent from the snapshot
-        (mirroring the dict path's unknown-node check).
+        Every label of the batch is resolved in one pass and set with one
+        flat scatter.  Raises :class:`GraphError` naming the first label
+        absent from the snapshot (mirroring the dict path's unknown-node
+        check).
         """
-        member = np.zeros((len(sides), self.num_nodes), dtype=bool)
+        n = self.num_nodes
+        sizes = np.fromiter(map(len, sides), dtype=np.int64, count=len(sides))
         index = self._index
-        for k, side in enumerate(sides):
-            row = member[k]
-            for node in side:
-                try:
-                    row[index[node]] = True
-                except KeyError:
-                    raise GraphError(
-                        f"cut side contains unknown nodes: [{node!r}]"
-                    ) from None
+        try:
+            columns = np.fromiter(
+                map(index.__getitem__, chain.from_iterable(sides)),
+                dtype=np.int64,
+                count=int(sizes.sum()),
+            )
+        except KeyError:
+            # Re-scan in batch order so the message names the first
+            # unknown node, as a node-by-node fill would.
+            unknown = next(
+                node for side in sides for node in side if node not in index
+            )
+            raise GraphError(
+                f"cut side contains unknown nodes: [{unknown!r}]"
+            ) from None
+        member = np.zeros((len(sides), n), dtype=bool)
+        row_starts = np.arange(len(sides), dtype=np.int64) * n
+        member.reshape(-1)[np.repeat(row_starts, sizes) + columns] = True
         return member
 
     def side_from_row(self, row: np.ndarray) -> FrozenSet[Node]:

@@ -314,8 +314,25 @@ class DiGraph:
     # derived graphs
     # ------------------------------------------------------------------
     def copy(self) -> "DiGraph":
-        """Deep copy (nodes and edges)."""
-        return DiGraph(self.nodes(), self.edges())
+        """Deep copy (nodes and edges).
+
+        Order contract: the copy iterates exactly like the edge-by-edge
+        rebuild ``DiGraph(self.nodes(), self.edges())`` — same node
+        order, same successor order, and each predecessor dict ordered
+        by its tails' node order (which can differ from this graph's own
+        predecessor order, so ``_pred`` is rebuilt, not cloned).  Cut
+        sums that scan predecessors therefore add in the same order as
+        on the rebuilt graph.
+        """
+        out = DiGraph()
+        out._succ = {u: dict(nbrs) for u, nbrs in self._succ.items()}
+        pred: Dict[Node, Dict[Node, float]] = {u: {} for u in self._succ}
+        for u, nbrs in self._succ.items():
+            for v, w in nbrs.items():
+                pred[v][u] = w
+        out._pred = pred
+        out._num_edges = self._num_edges
+        return out
 
     def reverse(self) -> "DiGraph":
         """The graph with every edge direction flipped."""

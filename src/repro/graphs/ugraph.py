@@ -216,8 +216,25 @@ class UGraph:
         return total
 
     def copy(self) -> "UGraph":
-        """Deep copy."""
-        return UGraph(self.nodes(), self.edges())
+        """Deep copy.
+
+        Order contract: the copy iterates exactly like the edge-by-edge
+        rebuild ``UGraph(self.nodes(), self.edges())`` — same node order,
+        and each neighbour dict lists the neighbours that come earlier in
+        node order first (in node order), then the later ones in this
+        graph's own order, which is the order :meth:`edges` meets them.
+        """
+        out = UGraph()
+        adj: Dict[Node, Dict[Node, float]] = {u: {} for u in self._adj}
+        for u, nbrs in self._adj.items():
+            row = adj[u]
+            for v, w in nbrs.items():
+                if v not in row:
+                    row[v] = w
+                    adj[v][u] = w
+        out._adj = adj
+        out._num_edges = self._num_edges
+        return out
 
     def subgraph(self, keep: AbstractSet[Node]) -> "UGraph":
         """Induced subgraph on ``keep``."""

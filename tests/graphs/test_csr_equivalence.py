@@ -288,3 +288,273 @@ class TestValidation:
         csr = g.freeze()
         member = np.zeros((0, csr.num_nodes), dtype=bool)
         assert csr.cut_weights(member).shape == (0,)
+
+
+# ----------------------------------------------------------------------
+# Order-exact equivalence of the rewritten plumbing.  The oracles are the
+# constructions the fast paths replaced, kept here verbatim: the
+# edge-by-edge graph rebuild, the per-arc snapshot loop and the per-node
+# membership fill.
+# ----------------------------------------------------------------------
+
+
+def _oracle_digraph_copy(g):
+    return DiGraph(g.nodes(), g.edges())
+
+
+def _oracle_ugraph_copy(g):
+    return UGraph(g.nodes(), g.edges())
+
+
+def _oracle_snapshot_arrays(graph, rows_of, m):
+    labels = graph.nodes()
+    index = {label: i for i, label in enumerate(labels)}
+    tails = np.empty(m, dtype=np.int64)
+    heads = np.empty(m, dtype=np.int64)
+    weights = np.empty(m, dtype=np.float64)
+    pos = 0
+    for u in labels:
+        ui = index[u]
+        for v, w in rows_of(u):
+            tails[pos] = ui
+            heads[pos] = index[v]
+            weights[pos] = w
+            pos += 1
+    return labels, tails, heads, weights
+
+
+def _oracle_membership(csr, sides):
+    member = np.zeros((len(sides), csr.num_nodes), dtype=bool)
+    index = {label: i for i, label in enumerate(csr.labels)}
+    for k, side in enumerate(sides):
+        row = member[k]
+        for node in side:
+            try:
+                row[index[node]] = True
+            except KeyError:
+                raise GraphError(
+                    f"cut side contains unknown nodes: [{node!r}]"
+                ) from None
+    return member
+
+
+_WEIGHTS = st.one_of(
+    st.just(0.0),
+    st.integers(0, 5),
+    st.floats(0.0, 10.0, allow_nan=False, allow_infinity=False),
+)
+
+
+#: One mutation: (kind, tail pick, head pick, weight, combine mode).  The
+#: picks index into the label list (edges, nodes) at apply time.
+_OPS = st.lists(
+    st.tuples(
+        st.sampled_from(["add"] * 4 + ["remove_edge", "remove_node"]),
+        st.integers(0, 99),
+        st.integers(0, 99),
+        _WEIGHTS,
+        st.sampled_from(["add", "set"]),
+    ),
+    min_size=8,
+    max_size=48,
+)
+
+
+def _grow(g, labels, ops, remove_node):
+    """Apply ``ops`` to ``g`` through its public mutators only."""
+    for kind, i, j, weight, combine in ops:
+        u, v = labels[i % len(labels)], labels[j % len(labels)]
+        if kind == "add" and u != v:
+            g.add_edge(u, v, weight, combine=combine)
+        elif kind == "remove_edge" and g.num_edges:
+            edges = list(g.edges())
+            a, b, _ = edges[i % len(edges)]
+            g.remove_edge(a, b)
+        elif kind == "remove_node" and remove_node and g.num_nodes:
+            g.remove_node(g.nodes()[i % g.num_nodes])
+    return g
+
+
+@st.composite
+def mutated_digraphs(draw):
+    """A DiGraph grown and pruned through its public mutators: isolated
+    nodes, ``add_edge`` with the add and set combine modes,
+    ``remove_edge`` and ``remove_node`` — so predecessor order often
+    differs from the tails' node order."""
+    labels = draw(_label_strategy(2, 10))
+    isolated = draw(st.lists(st.sampled_from(labels), unique=True))
+    return _grow(DiGraph(nodes=isolated), labels, draw(_OPS), remove_node=True)
+
+
+@st.composite
+def mutated_ugraphs(draw):
+    """A UGraph grown and pruned through ``add_edge`` (add and set) and
+    ``remove_edge``, with isolated nodes (UGraph has no ``remove_node``)."""
+    labels = draw(_label_strategy(2, 10))
+    isolated = draw(st.lists(st.sampled_from(labels), unique=True))
+    return _grow(UGraph(nodes=isolated), labels, draw(_OPS), remove_node=False)
+
+
+def _digraph_layout(g):
+    nodes = g.nodes()
+    return (
+        nodes,
+        [list(g.iter_successors(u)) for u in nodes],
+        [list(g.iter_predecessors(u)) for u in nodes],
+        g.num_edges,
+    )
+
+
+def _ugraph_layout(g):
+    nodes = g.nodes()
+    return nodes, [list(g.iter_neighbors(u)) for u in nodes], g.num_edges
+
+
+def _snapshot_arrays(csr):
+    return (
+        list(csr.labels),
+        csr.tails.copy(),
+        csr.heads.copy(),
+        csr.weights.copy(),
+    )
+
+
+def _assert_same_arrays(got, want):
+    assert got[0] == list(want[0])
+    for a, b in zip(got[1:], want[1:]):
+        assert a.dtype == b.dtype
+        assert np.array_equal(a, b)
+
+
+class TestCopyOrder:
+    @given(mutated_digraphs())
+    @settings(max_examples=150, deadline=None)
+    def test_digraph_copy_matches_rebuild(self, g):
+        assert _digraph_layout(g.copy()) == _digraph_layout(_oracle_digraph_copy(g))
+
+    @given(mutated_ugraphs())
+    @settings(max_examples=150, deadline=None)
+    def test_ugraph_copy_matches_rebuild(self, g):
+        assert _ugraph_layout(g.copy()) == _ugraph_layout(_oracle_ugraph_copy(g))
+
+    def test_digraph_copy_rebuilds_predecessor_order(self):
+        # pred["c"] holds "b" before "a" here, but the rebuild (and so the
+        # copy) lists tails in node order: "a" before "b".
+        g = DiGraph(nodes=["a", "b", "c"])
+        g.add_edge("b", "c", 1.0)
+        g.add_edge("a", "c", 2.0)
+        assert list(g.iter_predecessors("c")) == [("b", 1.0), ("a", 2.0)]
+        assert list(g.copy().iter_predecessors("c")) == [("a", 2.0), ("b", 1.0)]
+
+    @given(mutated_digraphs())
+    @settings(max_examples=30, deadline=None)
+    def test_mutating_digraph_copy_leaves_source(self, g):
+        before = _digraph_layout(g)
+        snapshot = g.freeze()
+        arrays = _snapshot_arrays(snapshot)
+        c = g.copy()
+        c.add_node("fresh")
+        for u in list(c.nodes())[:2]:
+            if u != "fresh":
+                c.add_edge(u, "fresh", 1.0)
+                c.add_edge("fresh", u, 2.0)
+        for u, v, _ in list(c.edges())[:3]:
+            if c.has_edge(u, v) and "fresh" not in (u, v):
+                c.add_edge(u, v, 0.5, combine="add")
+        if g.num_nodes:
+            c.remove_node(g.nodes()[0])
+        assert _digraph_layout(g) == before
+        assert g.freeze() is snapshot
+        _assert_same_arrays(_snapshot_arrays(snapshot), arrays)
+
+    @given(mutated_ugraphs())
+    @settings(max_examples=30, deadline=None)
+    def test_mutating_ugraph_copy_leaves_source(self, g):
+        before = _ugraph_layout(g)
+        snapshot = g.freeze()
+        arrays = _snapshot_arrays(snapshot)
+        c = g.copy()
+        for u in list(c.nodes())[:2]:
+            c.add_edge(u, "fresh", 1.0)
+        for u, v, _ in list(c.edges())[:3]:
+            if "fresh" not in (u, v):
+                c.add_edge(u, v, 0.5, combine="add")
+        if g.num_edges:
+            u, v, _ = next(iter(g.edges()))
+            c.remove_edge(u, v)
+        assert _ugraph_layout(g) == before
+        assert g.freeze() is snapshot
+        _assert_same_arrays(_snapshot_arrays(snapshot), arrays)
+
+
+class TestSnapshotArrays:
+    @given(mutated_digraphs())
+    @settings(max_examples=60, deadline=None)
+    def test_from_digraph_matches_per_arc_loop(self, g):
+        want = _oracle_snapshot_arrays(g, g.iter_successors, g.num_edges)
+        _assert_same_arrays(_snapshot_arrays(CSRGraph.from_digraph(g)), want)
+
+    @given(mutated_ugraphs())
+    @settings(max_examples=60, deadline=None)
+    def test_from_ugraph_matches_per_arc_loop(self, g):
+        want = _oracle_snapshot_arrays(g, g.iter_neighbors, 2 * g.num_edges)
+        _assert_same_arrays(_snapshot_arrays(CSRGraph.from_ugraph(g)), want)
+
+
+_SIDE_KINDS = (set, frozenset, list)
+
+
+@st.composite
+def graphs_with_sides(draw):
+    """A graph, plus a batch of sides over its labels of mixed container
+    kinds, with duplicates in the lists and possibly empty sides."""
+    g = draw(mutated_digraphs())
+    labels = g.nodes()
+    side = st.lists(st.sampled_from(labels), max_size=12) if labels else st.just([])
+    sides = [
+        draw(st.sampled_from(_SIDE_KINDS))(draw(side))
+        for _ in range(draw(st.integers(0, 6)))
+    ]
+    return g, sides
+
+
+class TestMembershipMatrix:
+    @given(graphs_with_sides())
+    @settings(max_examples=60, deadline=None)
+    def test_matches_per_node_loop(self, case):
+        g, sides = case
+        csr = g.freeze()
+        got = csr.membership_matrix(sides)
+        want = _oracle_membership(csr, sides)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+
+    def test_empty_batch_and_empty_side(self):
+        csr = DiGraph(edges=[("a", "b", 1.0)]).freeze()
+        assert csr.membership_matrix([]).shape == (0, 2)
+        assert np.array_equal(
+            csr.membership_matrix([set(), [], ["b", "b"]]),
+            _oracle_membership(csr, [set(), [], ["b", "b"]]),
+        )
+
+    @given(graphs_with_sides(), st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_names_same_first_unknown_node(self, case, data):
+        g, sides = case
+        known = set(g.nodes())
+        strangers = [x for x in LABEL_POOL if x not in known] + ["?1", "?2"]
+        lists = [list(side) for side in sides] or [[]]
+        for _ in range(data.draw(st.integers(1, 3))):
+            k = data.draw(st.integers(0, len(lists) - 1))
+            at = data.draw(st.integers(0, len(lists[k])))
+            lists[k].insert(at, data.draw(st.sampled_from(strangers)))
+        kinds = data.draw(
+            st.lists(st.sampled_from(_SIDE_KINDS), min_size=len(lists), max_size=len(lists))
+        )
+        batch = [kind(side) for kind, side in zip(kinds, lists)]
+        csr = g.freeze()
+        with pytest.raises(GraphError) as want:
+            _oracle_membership(csr, batch)
+        with pytest.raises(GraphError) as got:
+            csr.membership_matrix(batch)
+        assert str(got.value) == str(want.value)
