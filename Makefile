@@ -1,7 +1,6 @@
 # Convenience targets for the reproduction repository.
 
-.PHONY: install test bench bench-report bench-parallel bench-kernels \
-	bench-live bench-memory bench-serving perfbench digest tables trace-report api all \
+.PHONY: install test bench perfbench digest tables trace-report api all \
 	bounds-check dashboard wire-check obs-commit obs-diff obs-fsck \
 	obs-watch slo-check memory-check serve
 
@@ -13,24 +12,6 @@ test:
 
 bench:
 	pytest benchmarks/ --benchmark-only
-
-bench-report:
-	PYTHONPATH=src python scripts/bench_report.py
-
-bench-parallel:
-	PYTHONPATH=src python scripts/bench_report.py --pr5-only
-
-bench-kernels:
-	PYTHONPATH=src python scripts/bench_report.py --pr6-only
-
-bench-live:
-	PYTHONPATH=src python scripts/bench_report.py --pr8-only
-
-bench-memory:
-	PYTHONPATH=src python scripts/bench_report.py --pr9-only
-
-bench-serving:
-	PYTHONPATH=src python scripts/cut_bench.py
 
 # Two-second run of each benchmark workload; fails on a failed output check.
 perfbench:
@@ -90,6 +71,6 @@ memory-check:
 		--strict-bounds --telemetry telemetry.jsonl
 
 api:
-	python scripts/gen_api_reference.py
+	PYTHONPATH=src python scripts/gen_api_reference.py
 
 all: test bench

@@ -1,11 +1,8 @@
 """E12 — kernel backends: python reference vs compiled native kernels.
 
-The PR gate (written to BENCH_PR6.json by ``scripts/bench_report.py
---pr6-only``): the native backend must reach a >= 5x geometric-mean
-speedup over the python reference across the three ported hot kernels —
-Dinic max-flow solves, Karger–Stein edge contraction, and Lemma 3.2
-coefficient decoding.  The tables here report the same workloads at
-several sizes, plus two honest non-gate rows: batched codeword
+The three ported hot kernels — Dinic max-flow solves, Karger–Stein
+edge contraction, and Lemma 3.2 coefficient decoding — timed on both
+backends at several sizes, plus two honest side rows: batched codeword
 combination (where the python "reference" is already a vectorized BLAS
 ``matmul`` and native C is *not* expected to win) and the
 shared-memory result transport against the pickle pipe.

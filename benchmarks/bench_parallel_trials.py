@@ -9,8 +9,7 @@ Two claims, each a table:
 2. **Fan-out throughput.**  A blocking workload (trials dominated by
    waiting, the distributed-experiment shape) completes ~jobs times
    faster under the pool; a CPU-bound workload scales with physical
-   cores.  The acceptance gate (>= 3x on 4 workers) lives in
-   ``scripts/bench_report.py --pr5-only`` -> ``BENCH_PR5.json``.
+   cores.
 """
 
 import hashlib

@@ -40,7 +40,7 @@ batch probes, the lower-bound decoders' cut-probe loops, and
 `balance.py`'s exact scans.  `batched_cut_weights(graph, sides)` is the
 one-call convenience wrapper.  Equivalence with the dict path is
 property-tested in `tests/graphs/test_csr_equivalence.py`; timings live
-in `BENCH_PR1.json` (`make bench-report`).
+in the E11 table (`benchmarks/bench_cut_kernel.py`).
 """,
     "repro.obs": """\
 ### Observability
@@ -48,9 +48,8 @@ in `BENCH_PR1.json` (`make bench-report`).
 All instrumentation hangs off one global switch: `obs.enable(sink)` /
 `obs.disable()` (or the `obs.enabled(...)` context manager for scoped
 use).  While the switch is off every instrumentation site costs one
-attribute load and a branch — the guard benchmark in `BENCH_PR2.json`
-(`python scripts/bench_report.py --pr2-only`) holds the hot CSR batch
-loop to within 5% of its uninstrumented baseline.
+attribute load and a branch; the `games` and `mincut` workloads of
+`perfbench/` run that way.
 
 Three coordinated pieces:
 
@@ -101,8 +100,7 @@ top of the call stack under the currently active span path (exact call
 counts, noticeable slowdown); `mode="sampling"` snapshots the main
 thread's stack every `interval` seconds from a daemon thread (
 statistical counts, near-zero overhead).  Nothing is installed until
-`start()` — importing the module costs nothing on the disabled path
-(gate: `python scripts/bench_report.py --pr3-only`, `BENCH_PR3.json`).
+`start()` — importing the module costs nothing on the disabled path.
 `emit_events()` lands the aggregates in telemetry as `profile` events,
 which `scripts/trace_report.py` renders as a per-span hot-function
 table; `run_all --profile` wires this end to end.
@@ -128,9 +126,8 @@ Prometheus gauges, `trace_report --memory-top`, and the `mem:`/`rss:`
 SLO rules all consume; `SpaceBoundSpec` companions certify the
 measured bytes against the Thm 1.1/1.2/1.3 envelopes
 (`run_all --memory --strict-bounds`).  Nothing is installed until
-`start()` — the disabled path and the jobs-1/2/4 digest contract are
-gated by `python scripts/bench_report.py --pr9-only`
-(`BENCH_PR9.json`, `make bench-memory`).
+`start()`, and CI's digest matrix checks that `run_all --memory` prints
+identical stdout at jobs 1 and 2.
 
 ### Cross-run observatory
 
@@ -155,8 +152,7 @@ foreach/forall games, distributed ship/query traffic, local-query
 oracle calls) call the module-level `capture.record(...)` hook, a
 two-branch no-op unless the global switch is on *and* a capture is
 installed via `capture.install(...)` / the `capturing(...)` context
-manager (gate: `python scripts/bench_report.py --pr4-only`,
-`BENCH_PR4.json`).  `payload_digest` hashes a canonical encoding
+manager.  `payload_digest` hashes a canonical encoding
 (graphs digest as sorted edge lists, numpy scalars normalise through
 int/float) so transcripts from separate processes are byte-comparable;
 `first_divergence(a, b)` pinpoints the first mismatching message.
@@ -174,9 +170,7 @@ the `live.publishing(...)` context manager), `sink.emit` tees every
 telemetry record onto it — even with no sink attached —
 `capture.record` tees wire messages, and `repro.parallel` streams
 worker `heartbeat` records plus `live.tick` clock pulses.  With no bus
-installed the tee is one attribute load and an `is None` branch; the
-enabled live path stays within 5% of plain telemetry (gate: `python
-scripts/bench_report.py --pr8-only`, `BENCH_PR8.json`).
+installed the tee is one attribute load and an `is None` branch.
 `SlidingWindow` keeps time-bounded `(ts, value)` samples with
 nearest-rank quantiles that match `Histogram.quantile` exactly, and
 `LiveAggregator` folds the stream into windowed span latencies, bound
@@ -297,8 +291,8 @@ uniform streams — so flows, cuts, and codewords are equal at the
 `tests/kernels/test_stoer_wagner.py`, pinned seeds in
 `tests/graphs/test_karger_kernel_regression.py`).  The backend in
 use is reported through the `kernels.backend.<name>` obs counter and
-on `run_all`'s stderr.  Gates: `BENCH_PR6.json`
-(`python scripts/bench_report.py --pr6-only`).
+on `run_all`'s stderr.  CI's digest matrix checks that `run_all`
+prints identical stdout with `--kernels python` and with native.
 """,
     "repro.parallel": """\
 ### Parallel trial execution
@@ -322,8 +316,9 @@ histogram sample sequences, wire transcripts, and even non-associative
 float reductions reproduce the serial run byte for byte.  Crashed or
 hung workers get one retry on a fresh process with the same spawned
 seed; a second failure raises `ParallelError` naming the trial index —
-never a silent partial table.  Gates: `BENCH_PR5.json`
-(`python scripts/bench_report.py --pr5-only`).
+never a silent partial table.  `tests/parallel/test_determinism.py`
+checks this at several worker counts, and CI's digest matrix checks
+that `run_all` prints identical stdout at jobs 1 and 2.
 
 Numeric result tables (uniform floats, ints, or same-shape ndarrays)
 travel back through a preallocated `multiprocessing.shared_memory`
@@ -345,11 +340,12 @@ parsed race-free by `repro.obs.announce.read_announcement`).  It holds
 frozen `CSRGraph` snapshots content-addressed by their store oid in a
 measured-bytes LRU (`SnapshotCache`), coalesces concurrent
 `serve.cut_weight` requests into vectorized `cut_weights_stable` calls
-(`MicroBatcher`: max-batch, depth-stable probe, and window triggers),
+(`MicroBatcher`: row-count, depth-stable probe, and window triggers),
 and answers for-all sketch queries and Theorem 5.7 shard ops.  Because
 the kernel is row-stable, batching never changes response bytes —
-`scripts/cut_bench.py` digest-checks this and writes `BENCH_PR10.json`
-(`make bench-serving`).  `--metrics-port`, `--slo`, and `--capture`
+`tests/serving/test_server.py` checks this across batch settings, and
+perfbench's `serve_read`/`serve_mixed` workloads check every served
+value.  `--metrics-port`, `--slo`, and `--capture`
 wire the daemon into the live metrics/SLO/wire-capture stack; see
 EXPERIMENTS.md, "Serving tier".
 """

@@ -47,8 +47,8 @@ round trips).  Three pieces:
   streaming JSONL export feeding ``scripts/obs_watch.py``.
 
 Everything is gated by one switch (:func:`enable` / :func:`disable`,
-default **off**) whose disabled path is a near-zero-cost branch; see
-``BENCH_PR2.json`` / ``BENCH_PR3.json`` for the guard benchmarks.
+default **off**) whose disabled path is a near-zero-cost branch; the
+``games`` and ``mincut`` workloads of ``perfbench/`` run with it off.
 Aggregation lives in :mod:`repro.obs.report` (imported lazily — it
 depends on the experiment harness).
 """

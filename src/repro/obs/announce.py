@@ -4,7 +4,7 @@ Three processes need to agree on where a live endpoint landed: the
 process that bound it (``run_all --live-port``, the serving daemon),
 the human watching (``scripts/obs_watch.py``), and the automation that
 started the process with ``port 0`` and must discover the ephemeral
-port afterwards (``scripts/cut_bench.py``, CI).  Before this module
+port afterwards (the serving tests, CI).  Before this module
 each of them grew its own ad-hoc parsing of a slightly different
 stderr line; now they all speak one format:
 

@@ -12,8 +12,7 @@ A :class:`WireCapture` records one :class:`WireMessage` per transfer —
 path)`` — so every wire byte is attributable both to a code region and
 to the theorem whose bound prices it.  Instrumentation sites call the
 module-level :func:`record` hook, which is a two-branch no-op unless the
-global obs switch is on *and* a capture is installed (the disabled path
-is covered by the ``BENCH_PR4.json`` obs-guard gate).
+global obs switch is on *and* a capture is installed.
 
 Captured transcripts round-trip through JSONL (:meth:`WireCapture.save`
 / :meth:`WireCapture.load`), diff message-by-message

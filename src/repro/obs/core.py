@@ -4,7 +4,7 @@ The entire telemetry pipeline — metric mirroring, tracing spans, and the
 JSONL event sink — hangs off one module-level :data:`STATE` object.  Hot
 code guards every instrumentation site with ``if STATE.enabled:``, a
 single attribute load plus branch, so the disabled path costs nothing
-measurable (the guard is benchmarked in ``BENCH_PR2.json``).
+measurable.
 
 Local resource accounting is *not* behind this switch: the oracle
 query counters and communication bit ledgers keep their own always-on

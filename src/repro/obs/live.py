@@ -12,7 +12,7 @@ the process is running**:
   and :mod:`repro.parallel` publishes worker ``heartbeat`` records and
   ``live.tick`` clock pulses.  With no bus installed the tee is one
   module-attribute load and an ``is None`` branch — the disabled path
-  stays free (gate: ``BENCH_PR8.json``).
+  stays free.
 * :class:`SlidingWindow` — a ring buffer of ``(ts, value)`` samples
   with time-based expiry, event rates, and nearest-rank quantiles that
   match :meth:`repro.obs.metrics.Histogram.quantile` exactly.

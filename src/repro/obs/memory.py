@@ -295,8 +295,7 @@ class MemoryProfiler:
     The RSS sampler runs in both modes: a daemon thread reads
     :func:`read_rss` every ``interval`` seconds and keeps the peak.
     Nothing is installed until :meth:`start`, so a constructed-but-idle
-    profiler costs nothing (the PR 9 disabled-path guard is
-    ``BENCH_PR9.json``).
+    profiler costs nothing.
     """
 
     def __init__(self, mode: str = SAMPLE, interval: float = DEFAULT_INTERVAL):

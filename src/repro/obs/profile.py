@@ -14,8 +14,7 @@ active when the time was spent.  Two modes:
 
 The module is import-safe for hot paths: nothing is installed until
 :meth:`SpanProfiler.start`, so importing it costs exactly nothing on
-the telemetry-disabled path (the PR2/PR3 obs-guard benchmarks hold the
-instrumented CSR loop within 5% either way; see ``BENCH_PR3.json``).
+the telemetry-disabled path.
 
 Records land in the telemetry stream as ``profile`` events (one per
 (span, function) aggregate) via :meth:`SpanProfiler.emit_events`, and

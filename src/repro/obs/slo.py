@@ -350,10 +350,10 @@ def serving_default_rules(
     """The serving daemon's bare ``--slo`` rule set.
 
     One windowed latency ceiling on the synthetic ``serve.request``
-    spans the daemon emits per answered request — the "p99 under a
-    bound while micro-batching sustains throughput" objective that
-    ``BENCH_PR10.json`` gates.  Batch-flush latency rides the same
-    grammar: operators add e.g. ``span:serve.batch:p99<=0.05`` on top.
+    spans the daemon emits per answered request — "p99 under a bound
+    while micro-batching sustains throughput".  Batch-flush latency
+    rides the same grammar: operators add e.g.
+    ``span:serve.batch:p99<=0.05`` on top.
     """
     return [
         SloRule(

@@ -25,10 +25,8 @@ all, the probe sees the depth settle, and they flush as one batch —
 width tracks concurrency with no idle waiting.  Results fan back
 through per-row callbacks (or awaitable futures via :meth:`MicroBatcher.
 submit`).  ``max_batch=1`` is the unbatched configuration —
-every query still travels the identical code path, which is what makes
-the ``BENCH_PR10.json`` batched-vs-unbatched comparison an
-apples-to-apples measurement and (because the kernel is row-stable)
-byte-identical across settings.
+every query still travels the identical code path, and because the
+kernel is row-stable, responses are byte-identical across settings.
 """
 
 from __future__ import annotations

@@ -141,6 +141,9 @@ def _finish_decode(header: Dict[str, Any], body: bytes) -> Envelope:
             f"frame digest mismatch: header says {header.get('digest')!r}, "
             f"payload hashes to {digest!r}"
         )
+    bits = header.get("bits", 8 * len(body))
+    if type(bits) is not int:
+        raise ProtocolError(f"frame header bits must be an integer, got {bits!r}")
     try:
         payload = json.loads(body.decode("utf-8")) if body else None
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
@@ -150,7 +153,7 @@ def _finish_decode(header: Dict[str, Any], body: bytes) -> Envelope:
         receiver=str(header.get("receiver", "?")),
         kind=str(header.get("kind", "?")),
         payload=payload,
-        bits=int(header.get("bits", 8 * len(body))),
+        bits=bits,
         digest=digest,
     )
 
@@ -321,9 +324,13 @@ def graph_from_payload(payload: Dict[str, Any]):
     except (TypeError, KeyError) as exc:
         raise ProtocolError(f"malformed graph payload: {exc}") from exc
     graph = DiGraph() if directed else UGraph()
-    graph.add_nodes(nodes)
-    for u, v, w in edges:
-        graph.add_edge(u, v, float(w))
+    try:
+        graph.add_nodes(nodes)
+        for u, v, w in edges:
+            graph.add_edge(u, v, float(w))
+    except (TypeError, ValueError) as exc:
+        # Unhashable labels, non-triple edges, non-numeric weights.
+        raise ProtocolError(f"malformed graph payload: {exc}") from exc
     return graph
 
 

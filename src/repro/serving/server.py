@@ -64,6 +64,39 @@ from repro.serving.protocol import (
 )
 
 
+_REQUIRED = object()
+
+
+def _field(payload: Dict[str, Any], key: str, parse, default: Any = _REQUIRED) -> Any:
+    """``parse(payload[key])``, or a :class:`ServingError` naming the field.
+
+    Request values are checked where they are parsed, so a bad one gets
+    a ``serve.error`` reply and the connection keeps serving; an
+    exception raised anywhere else still surfaces as a server bug.
+    """
+    value = payload.get(key, default)
+    if value is _REQUIRED:
+        raise ServingError(f"missing field {key!r}")
+    try:
+        return parse(value)
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ServingError(f"bad {key!r} value {value!r}: {exc}") from exc
+
+
+def _seed(value: Any) -> int:
+    seed = int(value)
+    if seed < 0:
+        raise ValueError("a seed must be non-negative")
+    return seed
+
+
+def _rng_from_state(state: Any) -> np.random.Generator:
+    """A generator resumed from the caller's shipped bit-generator state."""
+    rng = np.random.default_rng()
+    rng.bit_generator.state = state
+    return rng
+
+
 def _request_id(envelope) -> Optional[int]:
     """The client's correlation id, when the request carried one.
 
@@ -400,9 +433,9 @@ class SketchServer:
             SparsifierSketch,
         )
 
-        epsilon = float(payload.get("epsilon", 0.1))
-        seed = int(payload.get("seed", 0))
-        constant = float(payload.get("constant", DEFAULT_SAMPLING_CONSTANT))
+        epsilon = _field(payload, "epsilon", float, 0.1)
+        seed = _field(payload, "seed", _seed, 0)
+        constant = _field(payload, "constant", float, DEFAULT_SAMPLING_CONSTANT)
         connectivity = str(payload.get("connectivity", "exact"))
         key = ("sketch", epsilon, seed, constant, connectivity)
         sketch = entry.sketches.get(key)
@@ -479,17 +512,13 @@ class SketchServer:
         from repro.serving.protocol import graph_payload
 
         shard = self._shard(payload)
-        epsilon = float(payload["epsilon"])
-        rng = np.random.default_rng()
-        state = payload.get("rng_state")
-        if not isinstance(state, dict):
-            raise ServingError("serve.shard_sketch needs the caller's rng_state")
-        rng.bit_generator.state = state
+        epsilon = _field(payload, "epsilon", float)
+        rng = _field(payload, "rng_state", _rng_from_state)
         kwargs: Dict[str, Any] = {}
         if payload.get("connectivity") is not None:
             kwargs["connectivity"] = str(payload["connectivity"])
         if payload.get("sampling_constant") is not None:
-            kwargs["sampling_constant"] = float(payload["sampling_constant"])
+            kwargs["sampling_constant"] = _field(payload, "sampling_constant", float)
         sketch = shard.forall_sketch(epsilon, rng=rng, **kwargs)
         return {
             "name": shard.name,
@@ -503,7 +532,7 @@ class SketchServer:
         if not isinstance(side, list):
             raise ServingError("serve.shard_cut needs a side label list")
         value, bits = shard.cut_value_response(
-            set(side), float(payload["precision"])
+            _field(payload, "side", set), _field(payload, "precision", float)
         )
         return {"name": shard.name, "value": float(value), "bits": int(bits)}
 
@@ -599,15 +628,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--name", default="sketch-server")
     parser.add_argument(
-        "--batch-window-s", type=float, default=DEFAULT_WINDOW_S,
-        help="micro-batch coalescing window in seconds (default %(default)s)",
-    )
-    parser.add_argument(
-        "--max-batch", type=int, default=DEFAULT_MAX_BATCH,
-        help="flush a snapshot's queue at this many rows (1 = unbatched; "
-        "default %(default)s)",
-    )
-    parser.add_argument(
         "--cache-bytes", type=int, default=DEFAULT_CACHE_BYTES,
         help="measured-bytes LRU budget for snapshots+sketches "
         "(default %(default)s)",
@@ -693,8 +713,6 @@ def main(argv=None) -> int:
         port=args.port,
         name=args.name,
         cache_bytes=args.cache_bytes,
-        batch_window_s=args.batch_window_s,
-        max_batch=args.max_batch,
     )
     thread.start()
     announce("serving", thread.server.url)

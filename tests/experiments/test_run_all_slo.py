@@ -56,6 +56,21 @@ class TestSloExitCodes:
         assert "experiment store" in capsys.readouterr().err
 
 
+class TestSloMemoryExitCodes:
+    def test_rss_ceiling_breach_exits_6(self, capsys):
+        # Any live process holds more than 1000 resident bytes.
+        assert main(
+            ["e7", "--no-telemetry", "--memory", "--slo=rss:<=1000"]
+        ) == EXIT_SLO_BREACH
+        assert "slo BREACH:" in capsys.readouterr().out
+
+    def test_loose_rss_ceiling_exits_0(self, capsys):
+        assert main(
+            ["e7", "--no-telemetry", "--memory", "--slo=rss:<=1000000000000"]
+        ) == 0
+        assert "BREACH" not in capsys.readouterr().out
+
+
 class TestSloTelemetry:
     def test_breach_lands_in_telemetry(self, tmp_path, capsys):
         path = tmp_path / "t.jsonl"

@@ -216,6 +216,28 @@ class TestSloEngine:
         assert not bus.errors  # the re-entrant tee must not explode
         assert engine.breached
 
+    def test_spans_through_a_fully_subscribed_bus_raise_nothing(self):
+        # Aggregator plus the default-rule engine on one bus while real
+        # spans flow: every record reaches them and none errors.
+        from repro.graphs.generators import random_balanced_digraph
+
+        graph = random_balanced_digraph(32, beta=2.0, density=0.3, rng=32)
+        nodes = list(graph.nodes())
+        csr = graph.freeze()
+        member = csr.membership_matrix(
+            [frozenset(nodes[:k]) for k in range(1, 17)]
+        )
+        bus = LiveBus()
+        aggregator = LiveAggregator().attach(bus)
+        SloEngine(default_rules(), aggregator=aggregator).attach(bus)
+        obs.enable(ListSink())
+        with live.publishing(bus):
+            for _ in range(3):
+                with obs.span("cut_weights"):
+                    csr.cut_weights(member)
+        assert bus.published >= 3
+        assert not bus.errors
+
     def test_event_time_gated_evaluation_without_ticks(self):
         obs.STATE.enabled = True
         obs.count("slo.metric.test", 100)

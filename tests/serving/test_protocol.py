@@ -2,6 +2,7 @@
 
 import asyncio
 import json
+import socket
 
 import numpy as np
 import pytest
@@ -22,7 +23,16 @@ from repro.serving.protocol import (
     payload_bytes_digest,
     read_envelope,
     side_mask,
+    sock_recv,
 )
+from tests.serving.conftest import frame_with_header
+
+
+def _sock_roundtrip(wire):
+    ours, theirs = socket.socketpair()
+    with ours, theirs:
+        theirs.sendall(wire)
+        return sock_recv(ours)
 
 
 class TestCanonicalJson:
@@ -94,6 +104,14 @@ class TestFrameCodec:
         with pytest.raises(ProtocolError, match="out of range"):
             asyncio.run(decode())
 
+    @pytest.mark.parametrize("bits", ["x", None, [1]], ids=["str", "null", "list"])
+    def test_non_integer_bits_fails_decode(self, bits):
+        wire = frame_with_header(bits=bits)
+        with pytest.raises(ProtocolError, match="bits"):
+            self._roundtrip(wire)
+        with pytest.raises(ProtocolError, match="bits"):
+            _sock_roundtrip(wire)
+
 
 class TestGraphPayload:
     def test_ugraph_roundtrip_preserves_order(self):
@@ -130,6 +148,27 @@ class TestGraphPayload:
     def test_malformed_payload_raises(self):
         with pytest.raises(ProtocolError, match="malformed graph payload"):
             graph_from_payload({"nodes": []})
+
+    @pytest.mark.parametrize(
+        "nodes,edges",
+        [
+            ([0, 1], [[0, 1]]),
+            ([0, 1], [[0, 1, "w"]]),
+            ([0, 1], [[0, 1, None]]),
+            ([0, 1], [5]),
+            ([[0], 1], []),
+            (5, []),
+        ],
+        ids=[
+            "edge_arity", "weight_str", "weight_null", "edge_int",
+            "unhashable_node", "nodes_int",
+        ],
+    )
+    def test_malformed_nodes_or_edges_raise(self, nodes, edges):
+        with pytest.raises(ProtocolError, match="malformed graph payload"):
+            graph_from_payload(
+                {"directed": False, "nodes": nodes, "edges": edges}
+            )
 
     def test_reconstruction_freezes_to_identical_csr(self):
         g = random_regularish_ugraph(32, 4, rng=4)

@@ -15,8 +15,10 @@ from repro.graphs.mincut import directed_global_min_cut, stoer_wagner
 from repro.graphs.ugraph import UGraph
 from repro.obs import capture as obs_capture
 from repro.serving.client import AsyncServingClient, ServingClient
-from repro.serving.protocol import ServingError
+from repro.serving.protocol import ServingError, sock_recv
+from repro.serving.remote import rng_state_payload
 from repro.serving.server import ServerThread
+from tests.serving.conftest import frame_with_header
 
 
 def _graph(rng=1, n=48):
@@ -119,6 +121,20 @@ class TestBasicOps:
         assert again == first  # cached sketch: same object, same answer
 
 
+# id -> (op, payload); the strings OID, MASK and RNG are filled in per run.
+_BAD_REQUESTS = {
+    "min_cut": ("serve.min_cut", {"oid": "nope"}),
+    "sketch_eps": ("serve.sketch_query", {"oid": "OID", "mask": "MASK", "epsilon": "abc"}),
+    "sketch_seed": ("serve.sketch_query", {"oid": "OID", "mask": "MASK", "seed": -1}),
+    "edge_arity": ("serve.register", {"directed": False, "nodes": [0, 1], "edges": [[0, 1]]}),
+    "edge_weight": ("serve.register", {"directed": False, "nodes": [0, 1], "edges": [[0, 1, "w"]]}),
+    "shard_no_eps": ("serve.shard_sketch", {"name": "SHARD", "rng_state": "RNG"}),
+    "shard_rng": ("serve.shard_sketch", {"name": "SHARD", "epsilon": 0.3, "rng_state": {"x": 1}}),
+    "cut_no_prec": ("serve.shard_cut", {"name": "SHARD", "side": [0]}),
+    "cut_bad_prec": ("serve.shard_cut", {"name": "SHARD", "side": [0], "precision": "p"}),
+}
+
+
 class TestErrors:
     def test_unknown_oid_is_a_serving_error(self):
         with ServerThread() as thread:
@@ -145,15 +161,32 @@ class TestErrors:
                 with pytest.raises(ServingError, match="unknown op"):
                     client.request("serve.frobnicate", {})
 
-    def test_error_reply_does_not_kill_the_connection(self):
+    @pytest.mark.parametrize("op,payload", _BAD_REQUESTS.values(), ids=_BAD_REQUESTS)
+    def test_error_reply_does_not_kill_the_connection(self, op, payload, caplog):
         graph = _graph()
+        side = _sides(graph, 1)[0]
         with ServerThread() as thread:
             with ServingClient("127.0.0.1", thread.port) as client:
                 oid = client.register_graph(graph)
-                with pytest.raises(ServingError):
-                    client.request("serve.min_cut", {"oid": "nope"})
+                client.host_shard("SHARD", graph)
+                fill = {"OID": oid, "MASK": client._mask(oid, side), "RNG": rng_state_payload(1)}
+                payload = {k: fill.get(v, v) if isinstance(v, str) else v for k, v in payload.items()}
+                # A serve.error reply naming the op, not a dropped socket.
+                with pytest.raises(ServingError, match=f"^{op}: "):
+                    client.request(op, payload)
                 # Same connection still serves.
-                assert client.cut_weight(oid, _sides(graph, 1)[0]) >= 0.0
+                assert client.cut_weight(oid, side) >= 0.0
+        assert "Unhandled exception" not in caplog.text
+
+    @pytest.mark.parametrize("bits", ["x", None, [1]], ids=["str", "null", "list"])
+    def test_bad_frame_bits_get_an_error_reply(self, bits, caplog):
+        with ServerThread() as thread:
+            with socket.create_connection(("127.0.0.1", thread.port)) as sock:
+                sock.sendall(frame_with_header(bits=bits))
+                reply = sock_recv(sock)
+        assert reply.kind == "serve.error"
+        assert "bits" in reply.payload["error"]
+        assert "Unhandled exception" not in caplog.text
 
 
 def _serve_concurrently(port, graph, sides, clients=3):
