@@ -8,10 +8,10 @@ install:
 	pip install -e . || python setup.py develop
 
 test:
-	pytest tests/
+	PYTHONPATH=src pytest tests/
 
 bench:
-	pytest benchmarks/ --benchmark-only
+	PYTHONPATH=src pytest benchmarks/ --benchmark-only
 
 # Two-second run of each benchmark workload; fails on a failed output check.
 perfbench:
@@ -31,7 +31,7 @@ serve:
 		--metrics-port 0 --slo
 
 tables:
-	python -m repro.experiments.run_all
+	PYTHONPATH=src python -m repro.experiments.run_all
 
 trace-report:
 	PYTHONPATH=src python scripts/trace_report.py telemetry.jsonl

@@ -272,9 +272,12 @@ bisection aborts loudly if a recorded transcript no longer reproduces
 ### Kernel backends
 
 Runtime-selected compute backends for the hot kernels — Dinic
-max-flow over flat arc arrays, Stoer–Wagner global min cut over a
-dense weight matrix, Karger–Stein edge contraction over an array
-union-find, and Lemma 3.2 Hadamard row products / decoding.
+max-flow over flat arc arrays (addresses taken once per residual
+network), Stoer–Wagner global min cut over a dense weight matrix,
+batched Karger contraction runs over CSR rows (bit-identical to a
+contraction over neighbour dicts, step totals added as the running
+interpreter's `sum()` adds them), Karger–Stein edge contraction over an
+array union-find, and Lemma 3.2 Hadamard row products / decoding.
 Selection order is `--kernels {auto,python,native}` on
 `run_all` (installed via `select_backend`) → the `REPRO_KERNELS`
 environment variable → `auto`.  `auto` loads the native backend (a C

@@ -31,7 +31,8 @@ hypothesis equivalence suite checks the kernels against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain
 from operator import itemgetter
 from typing import (
@@ -66,15 +67,30 @@ _BATCH_CELL_BUDGET = 1 << 23
 _DENSE_N_LIMIT = 2048
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CSRFlowResult:
     """Integer-indexed outcome of :meth:`CSRGraph.max_flow`."""
 
     value: float
     #: Indices residual-reachable from the source — a min s-t cut side.
     source_side: FrozenSet[int]
-    #: Flow per snapshot edge, aligned with ``tails``/``heads``.
-    edge_flows: List[float]
+    #: This solve's flow per snapshot edge, aligned with ``tails``/``heads``
+    #: (a copy: the next solve on the same network resets the network).
+    flows: np.ndarray = field(repr=False)
+
+    @cached_property
+    def edge_flows(self) -> List[float]:
+        """:attr:`flows` as a list, built on first read."""
+        return self.flows.tolist()
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, CSRFlowResult):
+            return NotImplemented
+        return (
+            self.value == other.value
+            and self.source_side == other.source_side
+            and np.array_equal(self.flows, other.flows)
+        )
 
 
 class ResidualNetwork:
@@ -91,10 +107,14 @@ class ResidualNetwork:
     The arrays are allocated once per snapshot and cached on the
     :class:`CSRGraph`; :meth:`reset` zeroes the flow vector so the
     ``n - 1`` flow calls of global min-cut and the Gomory–Hu sweep reuse
-    one allocation instead of rebuilding adjacency every call.
+    one allocation instead of rebuilding adjacency every call.  They are
+    only ever written in place, so :attr:`addresses` (their data
+    addresses, in :data:`ARRAYS` order) is taken once, here and on
+    unpickling, and a compiled kernel backend passes it straight on.
     """
 
-    __slots__ = (
+    #: The flat arrays, in the order of :attr:`addresses`.
+    ARRAYS = (
         "indptr",
         "adj",
         "arc_head",
@@ -106,8 +126,9 @@ class ResidualNetwork:
         "path",
         "queue",
         "seen",
-        "solves",
     )
+
+    __slots__ = ARRAYS + ("solves", "addresses")
 
     def __init__(
         self,
@@ -145,6 +166,19 @@ class ResidualNetwork:
         self.seen = np.zeros(n, dtype=np.uint8)
         #: Number of :meth:`reset` cycles served (telemetry / tests).
         self.solves = 0
+        self.addresses = self._addresses()
+
+    def _addresses(self) -> Tuple[int, ...]:
+        return tuple(getattr(self, name).ctypes.data for name in self.ARRAYS)
+
+    def __getstate__(self):
+        # Addresses belong to one process; an unpickled copy takes its own.
+        return {name: getattr(self, name) for name in self.ARRAYS + ("solves",)}
+
+    def __setstate__(self, state) -> None:
+        for name, value in state.items():
+            setattr(self, name, value)
+        self.addresses = self._addresses()
 
     def reset(self) -> None:
         """Zero the flow vector, readying the network for another solve."""
@@ -296,6 +330,15 @@ class CSRGraph:
     def weights(self) -> np.ndarray:
         """Edge weights aligned with :attr:`tails`/:attr:`heads`."""
         return self._weights
+
+    @property
+    def indptr(self) -> np.ndarray:
+        """Out-CSR row pointers: node ``i``'s edges are ``indptr[i]:indptr[i + 1]``.
+
+        Snapshots from ``freeze()`` lay each row out in the order of the
+        node's adjacency dict.
+        """
+        return self._indptr
 
     def index_of(self, node: Node) -> int:
         """Interned index of ``node``."""
@@ -635,37 +678,16 @@ class CSRGraph:
         net.reset()
         backend = get_backend()
         mark_use(backend)
-        total, phases = backend.dinic_solve(
-            net.indptr,
-            net.adj,
-            net.arc_head,
-            net.arc_cap,
-            net.arc_flow,
-            net.level,
-            net.iters,
-            net.stack,
-            net.path,
-            net.queue,
-            source,
-            sink,
-        )
+        total, phases = backend.dinic_solve(net, source, sink)
         if _OBS.enabled:
             _obs_count("csr.maxflow.calls")
             _obs_observe("csr.maxflow.phases", phases)
-        backend.residual_reachable(
-            net.indptr,
-            net.adj,
-            net.arc_head,
-            net.arc_cap,
-            net.arc_flow,
-            net.seen,
-            net.stack,
-            source,
-        )
+        backend.residual_reachable(net, source)
         side = np.flatnonzero(net.seen).tolist()
-        flows = np.maximum(net.arc_flow[0::2], 0.0).tolist()
         return CSRFlowResult(
-            value=total, source_side=frozenset(side), edge_flows=flows
+            value=total,
+            source_side=frozenset(side),
+            flows=np.maximum(net.arc_flow[0::2], 0.0),
         )
 
     def __repr__(self) -> str:

@@ -9,7 +9,12 @@ Three independent implementations, used to cross-check one another:
 * :func:`karger_min_cut` — Monte-Carlo contraction; also used to *sample*
   near-minimum cuts for the distributed min-cut application (the paper's
   Section 1 observation that there are at most ``n^{O(C)}`` cuts within a
-  factor ``C`` of minimum).
+  factor ``C`` of minimum).  Both run batches of contractions through the
+  backend's ``karger_runs`` kernel over ``graph.freeze()``'s rows, which
+  reproduces a contraction over neighbour dicts bit for bit (see
+  :mod:`repro.kernels.reference`): each run draws ``n - 2`` uniforms, and
+  its side always holds ``graph.nodes()[0]``.  Like Stoer–Wagner they
+  keep ``O(n^2)`` scratch, so both raise above 2048 nodes.
 * :func:`directed_global_min_cut` — ``2(n-1)`` max-flow calls; the exact
   reference for directed constructions.
 """
@@ -17,16 +22,23 @@ Three independent implementations, used to cross-check one another:
 from __future__ import annotations
 
 import math
-from typing import Dict, FrozenSet, Hashable, List, Optional, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, Optional, Tuple
 
 import numpy as np
 
 from repro.errors import GraphError
+from repro.graphs.csr import _DENSE_N_LIMIT, CSRGraph
 from repro.graphs.digraph import DiGraph, Node
 from repro.graphs.maxflow import max_flow
 from repro.graphs.ugraph import UGraph
 from repro.kernels import get_backend, mark_use
+from repro.kernels.reference import SUM_IS_COMPENSATED
 from repro.utils.rng import RngLike, ensure_rng
+
+#: Uniforms plus side cells one batch of contraction runs may hold, so
+#: ``karger_min_cut``'s ``n^2 ln n`` default trials never sit in memory
+#: at once.
+_RUN_CELL_BUDGET = 1 << 16
 
 
 def stoer_wagner(graph: UGraph) -> Tuple[float, FrozenSet[Node]]:
@@ -63,7 +75,9 @@ def karger_min_cut(
 
     ``trials`` defaults to ``ceil(n^2 ln n)`` contraction rounds, giving
     success probability ``1 - 1/n`` for the true minimum.  Weighted edges
-    are contracted with probability proportional to weight.
+    are contracted with probability proportional to weight.  Returns the
+    first run with the smallest value; raises above the CSR layer's dense
+    limit (2048 nodes).
     """
     n = graph.num_nodes
     if n < 2:
@@ -73,54 +87,51 @@ def karger_min_cut(
     if trials is None:
         trials = max(1, int(math.ceil(n * n * max(1.0, math.log(n)))))
     gen = ensure_rng(rng)
+    csr = graph.freeze()
     best_value = math.inf
     best_side: FrozenSet[Node] = frozenset()
-    for _ in range(trials):
-        value, side = _one_contraction_run(graph, gen)
-        if value < best_value:
-            best_value = value
-            best_side = side
+    for values, sides in _contraction_batches(csr, trials, gen):
+        i = int(np.argmin(values))
+        if values[i] < best_value:
+            best_value = float(values[i])
+            best_side = csr.side_from_row(sides[i])
     return best_value, best_side
 
 
-def _one_contraction_run(graph: UGraph, gen) -> Tuple[float, FrozenSet[Node]]:
-    """A single Karger contraction down to two super nodes."""
-    adj: Dict[Node, Dict[Node, float]] = {
-        u: dict(graph.neighbors(u)) for u in graph.nodes()
-    }
-    groups: Dict[Node, Set[Node]] = {u: {u} for u in graph.nodes()}
-    while len(adj) > 2:
-        edges: List[Tuple[Node, Node, float]] = []
-        seen: Set[FrozenSet[Node]] = set()
-        for u, nbrs in adj.items():
-            for v, w in nbrs.items():
-                key = frozenset((u, v))
-                if key not in seen:
-                    seen.add(key)
-                    edges.append((u, v, w))
-        total = sum(w for _, _, w in edges)
-        pick = gen.uniform(0.0, total)
-        acc = 0.0
-        chosen = edges[-1]
-        for edge in edges:
-            acc += edge[2]
-            if pick <= acc:
-                chosen = edge
-                break
-        u, v, _ = chosen
-        groups[u] |= groups[v]
-        for nbr, w in adj[v].items():
-            if nbr == u:
-                continue
-            adj[u][nbr] = adj[u].get(nbr, 0.0) + w
-            adj[nbr][u] = adj[u][nbr]
-            del adj[nbr][v]
-        if v in adj[u]:
-            del adj[u][v]
-        del adj[v]
-    (a, nbrs_a) = next(iter(adj.items()))
-    value = sum(nbrs_a.values())
-    return value, frozenset(groups[a])
+def _contraction_batches(
+    csr: CSRGraph, runs: int, gen: np.random.Generator
+) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
+    """``runs`` Karger contractions of an undirected snapshot, in batches.
+
+    Yields ``(values, sides)`` per batch: each run's cut value and a
+    ``uint8`` row marking its side, which always holds node 0.  Each run
+    draws its ``n - 2`` uniforms from ``gen``, one per merge; a batch
+    holds at most :data:`_RUN_CELL_BUDGET` uniforms and side cells.
+    """
+    n = csr.num_nodes
+    if n > _DENSE_N_LIMIT:
+        raise GraphError(
+            f"contraction is limited to {_DENSE_N_LIMIT} nodes; this graph has {n}"
+        )
+    if not np.isfinite(csr.weights).all():
+        raise GraphError("contraction needs finite edge weights")
+    batch = max(1, _RUN_CELL_BUDGET // (2 * n))
+    backend = get_backend()
+    mark_use(backend)
+    for start in range(0, runs, batch):
+        count = min(batch, runs - start)
+        uniforms = gen.random(count * (n - 2))
+        values = np.empty(count, dtype=np.float64)
+        sides = np.empty((count, n), dtype=np.uint8)
+        done = backend.karger_runs(
+            csr.indptr, csr.heads, csr.weights, uniforms, SUM_IS_COMPENSATED,
+            values, sides,
+        )
+        if done < count:
+            raise GraphError(
+                "contraction ran out of edges: the graph has more than two components"
+            )
+        yield values, sides
 
 
 def sample_near_min_cuts(
@@ -135,7 +146,9 @@ def sample_near_min_cuts(
     for-all sketch identifies the regime, and repeated contraction (which
     finds any ``alpha``-near-minimum cut with probability
     ``n^{-O(alpha)}``) enumerates candidate cuts that are then re-scored
-    with for-each queries.
+    with for-each queries.  The Stoer–Wagner minimum comes first among
+    equal values, then the contraction cuts in the order first found.
+    Raises on graphs of three or more components when ``attempts > 0``.
     """
     if factor < 1.0:
         raise GraphError("factor must be >= 1")
@@ -143,23 +156,15 @@ def sample_near_min_cuts(
     gen = ensure_rng(rng)
     found: Dict[FrozenSet[Node], float] = {base_side: base_value}
     threshold = factor * base_value if base_value > 0 else 0.0
-    for _ in range(attempts):
-        value, side = _one_contraction_run(graph, gen)
-        canonical = _canonical_side(graph, side)
-        if value <= threshold and canonical not in found:
-            found[canonical] = value
+    csr = graph.freeze()
+    for values, sides in _contraction_batches(csr, attempts, gen):
+        for i in np.flatnonzero(values <= threshold).tolist():
+            side = csr.side_from_row(sides[i])
+            if side not in found:
+                found[side] = float(values[i])
     return sorted(
         ((value, side) for side, value in found.items()), key=lambda item: item[0]
     )
-
-
-def _canonical_side(graph: UGraph, side: FrozenSet[Node]) -> FrozenSet[Node]:
-    """Pick a canonical representative of {S, V\\S} for dedup."""
-    nodes = graph.nodes()
-    anchor = nodes[0]
-    if anchor in side:
-        return frozenset(side)
-    return frozenset(set(nodes) - set(side))
 
 
 def directed_global_min_cut(graph: DiGraph) -> Tuple[float, FrozenSet[Node]]:

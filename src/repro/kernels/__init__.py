@@ -1,8 +1,9 @@
 """Runtime-selected compiled kernel backends for the hot loops.
 
 The CSR layer moved the batched cut kernels onto dense BLAS; the
-remaining hot loops — Dinic max-flow, Stoer–Wagner and Karger–Stein
-min cut, and the Lemma 3.2 encode/decode sign-flip products — get a
+remaining hot loops — Dinic max-flow, Stoer–Wagner min cut, Karger and
+Karger–Stein contraction, and the Lemma 3.2 encode/decode sign-flip
+products — get a
 *kernel interface* here: a small set of functions over flat typed
 arrays (``int64``/``float64``/``int8`` vectors, no Python objects
 inside the loop) with two interchangeable implementations:

@@ -235,6 +235,127 @@ int64_t repro_contract_to(
 }
 
 /* ------------------------------------------------------------------ */
+/* Batched Karger contraction runs with neighbour-dict semantics       */
+/* ------------------------------------------------------------------ */
+
+/* One addend of builtin sum() over floats: plain, or Neumaier's. */
+static void sum_add(double *total, double *c, double x, int64_t compensated)
+{
+    if (!compensated) {
+        *total += x;
+        return;
+    }
+    double t = *total + x;
+    if (fabs(*total) >= fabs(x))
+        *c += (*total - t) + x;
+    else
+        *c += (x - t) + *total;
+    *total = t;
+}
+
+static double sum_done(double total, double c, int64_t compensated)
+{
+    if (compensated && c != 0.0 && isfinite(c)) total += c;
+    return total;
+}
+
+int64_t repro_karger_runs(
+    int64_t n,
+    const int64_t *indptr,
+    const int64_t *indices,
+    const double *weights,
+    int64_t runs,
+    const double *uniforms, /* runs x (n - 2), one per merge */
+    int64_t compensated,
+    double *w,              /* n x n scratch: w[x*n+y] = weight of {x, y} */
+    uint8_t *listed,        /* n x n scratch: y is in x's neighbour list */
+    int64_t *order,         /* n x n scratch: x's list in insertion order;
+                               merged-away entries stay and are skipped */
+    int64_t *len,           /* n scratch: list lengths */
+    int64_t *owner,         /* n scratch: super-node of each node */
+    double *values,         /* runs out */
+    uint8_t *sides)         /* runs x n out */
+{
+    int64_t steps = n > 2 ? n - 2 : 0;
+    for (int64_t r = 0; r < runs; r++) {
+        for (int64_t i = 0; i < n * n; i++) listed[i] = 0;
+        for (int64_t x = 0; x < n; x++) {
+            owner[x] = x;
+            len[x] = 0;
+            for (int64_t k = indptr[x]; k < indptr[x + 1]; k++) {
+                int64_t y = indices[k];
+                w[x * n + y] = weights[k]; /* a repeated y updates, as a dict */
+                if (!listed[x * n + y]) {
+                    listed[x * n + y] = 1;
+                    order[x * n + len[x]++] = y;
+                }
+            }
+        }
+        for (int64_t step = 0; step < steps; step++) {
+            /* Live edges {u, v} at their earlier endpoint u, in list order. */
+            double total = 0.0, c = 0.0;
+            int64_t edges = 0;
+            for (int64_t u = 0; u < n; u++) {
+                if (owner[u] != u) continue;
+                for (int64_t k = 0; k < len[u]; k++) {
+                    int64_t v = order[u * n + k];
+                    if (v <= u || owner[v] != v) continue;
+                    sum_add(&total, &c, w[u * n + v], compensated);
+                    edges++;
+                }
+            }
+            if (edges == 0) return r;
+            total = sum_done(total, c, compensated);
+            double pick = total * uniforms[r * steps + step];
+            double acc = 0.0;
+            int64_t cu = -1, cv = -1, found = 0;
+            for (int64_t u = 0; u < n && !found; u++) {
+                if (owner[u] != u) continue;
+                for (int64_t k = 0; k < len[u]; k++) {
+                    int64_t v = order[u * n + k];
+                    if (v <= u || owner[v] != v) continue;
+                    acc += w[u * n + v];
+                    cu = u;
+                    cv = v;
+                    if (pick <= acc) {
+                        found = 1;
+                        break;
+                    }
+                }
+            }
+            /* Merge cv into cu. */
+            for (int64_t k = 0; k < len[cv]; k++) {
+                int64_t x = order[cv * n + k];
+                if (x == cu || owner[x] != x) continue;
+                double merged = (listed[cu * n + x] ? w[cu * n + x] : 0.0)
+                                + w[cv * n + x];
+                if (!listed[cu * n + x]) {
+                    listed[cu * n + x] = 1;
+                    order[cu * n + len[cu]++] = x;
+                }
+                w[cu * n + x] = merged;
+                if (!listed[x * n + cu]) {
+                    listed[x * n + cu] = 1;
+                    order[x * n + len[x]++] = cu;
+                }
+                w[x * n + cu] = merged;
+            }
+            for (int64_t i = 0; i < n; i++) {
+                if (owner[i] == cv) owner[i] = cu;
+            }
+        }
+        double value = 0.0, c = 0.0;
+        for (int64_t k = 0; n > 0 && k < len[0]; k++) {
+            int64_t y = order[k];
+            if (owner[y] == y) sum_add(&value, &c, w[y], compensated);
+        }
+        values[r] = sum_done(value, c, compensated);
+        for (int64_t i = 0; i < n; i++) sides[r * n + i] = owner[i] == 0;
+    }
+    return runs;
+}
+
+/* ------------------------------------------------------------------ */
 /* Stoer–Wagner global min cut over a dense symmetric weight matrix    */
 /* ------------------------------------------------------------------ */
 

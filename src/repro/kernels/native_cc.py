@@ -44,6 +44,7 @@ _i64p = ctypes.POINTER(ctypes.c_int64)
 _f64p = ctypes.POINTER(ctypes.c_double)
 _i8p = ctypes.POINTER(ctypes.c_int8)
 _u8p = ctypes.POINTER(ctypes.c_uint8)
+_ptr = ctypes.c_void_p
 
 
 def cache_dir() -> Path:
@@ -115,21 +116,24 @@ class _CcKernels:
 
     def __init__(self, lib: ctypes.CDLL):
         self._lib = lib
+        # The Dinic kernels take the residual network's raw addresses.
         lib.repro_dinic_solve.restype = ctypes.c_double
-        lib.repro_dinic_solve.argtypes = [
-            ctypes.c_int64, _i64p, _i64p, _i64p, _f64p, _f64p,
-            _i64p, _i64p, _i64p, _i64p, _i64p,
+        lib.repro_dinic_solve.argtypes = [ctypes.c_int64] + [_ptr] * 10 + [
             ctypes.c_int64, ctypes.c_int64, _i64p,
         ]
         lib.repro_residual_reachable.restype = None
-        lib.repro_residual_reachable.argtypes = [
-            ctypes.c_int64, _i64p, _i64p, _i64p, _f64p, _f64p,
-            _u8p, _i64p, ctypes.c_int64,
+        lib.repro_residual_reachable.argtypes = [ctypes.c_int64] + [_ptr] * 7 + [
+            ctypes.c_int64,
         ]
         lib.repro_contract_to.restype = ctypes.c_int64
         lib.repro_contract_to.argtypes = [
             ctypes.c_int64, _i64p, _i64p, _f64p, _i64p,
             ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, _f64p, _i64p,
+        ]
+        lib.repro_karger_runs.restype = ctypes.c_int64
+        lib.repro_karger_runs.argtypes = [
+            ctypes.c_int64, _i64p, _i64p, _f64p, ctypes.c_int64, _f64p,
+            ctypes.c_int64, _f64p, _u8p, _i64p, _i64p, _i64p, _f64p, _u8p,
         ]
         lib.repro_stoer_wagner.restype = ctypes.c_double
         lib.repro_stoer_wagner.argtypes = [
@@ -149,43 +153,18 @@ class _CcKernels:
         ]
 
     # -- kernel interface ----------------------------------------------
-    def dinic_solve(
-        self, indptr, adj, arc_head, arc_cap, arc_flow,
-        level, iters, stack, path, queue, source, sink,
-    ) -> Tuple[float, int]:
-        n = indptr.size - 1
+    def dinic_solve(self, net, source, sink) -> Tuple[float, int]:
         phases = ctypes.c_int64(0)
         total = self._lib.repro_dinic_solve(
-            n,
-            _as(indptr, np.int64, _i64p),
-            _as(adj, np.int64, _i64p),
-            _as(arc_head, np.int64, _i64p),
-            _as(arc_cap, np.float64, _f64p),
-            _as(arc_flow, np.float64, _f64p),
-            _as(level, np.int64, _i64p),
-            _as(iters, np.int64, _i64p),
-            _as(stack, np.int64, _i64p),
-            _as(path, np.int64, _i64p),
-            _as(queue, np.int64, _i64p),
-            source,
-            sink,
+            net.level.size, *net.addresses[:10], source, sink,
             ctypes.byref(phases),
         )
-        return float(total), int(phases.value)
+        return total, phases.value
 
-    def residual_reachable(
-        self, indptr, adj, arc_head, arc_cap, arc_flow, seen, stack, source,
-    ) -> None:
+    def residual_reachable(self, net, source) -> None:
+        indptr, adj, head, cap, flow, _, _, stack, _, _, seen = net.addresses
         self._lib.repro_residual_reachable(
-            indptr.size - 1,
-            _as(indptr, np.int64, _i64p),
-            _as(adj, np.int64, _i64p),
-            _as(arc_head, np.int64, _i64p),
-            _as(arc_cap, np.float64, _f64p),
-            _as(arc_flow, np.float64, _f64p),
-            _as(seen, np.uint8, _u8p),
-            _as(stack, np.int64, _i64p),
-            source,
+            net.level.size, indptr, adj, head, cap, flow, seen, stack, source,
         )
 
     def contract_to(
@@ -206,6 +185,35 @@ class _CcKernels:
             ctypes.byref(used),
         )
         return int(reached), int(used.value)
+
+    def karger_runs(
+        self, indptr, indices, weights, uniforms, compensated, values, sides,
+    ) -> int:
+        n = indptr.size - 1
+        runs = values.size
+        if sides.shape != (runs, n) or uniforms.size < runs * max(n - 2, 0):
+            raise ValueError("karger_runs needs (runs, n) sides, n - 2 uniforms a run")
+        w = np.empty((n, n), dtype=np.float64)
+        listed = np.empty((n, n), dtype=np.uint8)
+        order = np.empty((n, n), dtype=np.int64)
+        lengths = np.empty(n, dtype=np.int64)
+        owner = np.empty(n, dtype=np.int64)
+        return self._lib.repro_karger_runs(
+            n,
+            _as(indptr, np.int64, _i64p),
+            _as(indices, np.int64, _i64p),
+            _as(weights, np.float64, _f64p),
+            runs,
+            _as(uniforms, np.float64, _f64p),
+            int(compensated),
+            _as(w, np.float64, _f64p),
+            _as(listed, np.uint8, _u8p),
+            _as(order, np.int64, _i64p),
+            _as(lengths, np.int64, _i64p),
+            _as(owner, np.int64, _i64p),
+            _as(values, np.float64, _f64p),
+            _as(sides, np.uint8, _u8p),
+        )
 
     def stoer_wagner(self, weights, side) -> float:
         n = side.size
@@ -283,6 +291,7 @@ def load() -> KernelBackend:
         dinic_solve=kernels.dinic_solve,
         residual_reachable=kernels.residual_reachable,
         contract_to=kernels.contract_to,
+        karger_runs=kernels.karger_runs,
         stoer_wagner=kernels.stoer_wagner,
         had_combine_many=kernels.had_combine_many,
         had_row_products=kernels.had_row_products,

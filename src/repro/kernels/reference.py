@@ -1,9 +1,10 @@
 """Pure-Python reference implementations of the kernel interface.
 
 This module *defines* the semantics every other backend must match.
-All kernels operate on flat typed arrays — no dataclass objects, no
-dict adjacency — so a compiled backend can run the identical algorithm
-over the identical memory layout.  Where floating point is involved the
+All kernels operate on flat typed arrays (the Dinic slots receive them
+bundled in their residual network) — no dict adjacency — so a compiled
+backend can run the identical algorithm over the identical memory
+layout.  Where floating point is involved the
 accumulation order is part of the contract: a native backend that adds
 the same doubles in the same order produces bit-identical results, and
 the parity suite (``tests/kernels/test_parity.py``) holds it to that.
@@ -15,13 +16,17 @@ Calling convention (shared by every backend)
 ``e`` owns forward arc ``2e`` and reverse arc ``2e + 1`` (so the
 reverse of arc ``a`` is ``a ^ 1``); ``indptr``/``adj`` is a CSR-style
 flattened per-node arc list built in edge order (forward arc appended
-to the tail's list, reverse arc to the head's, edge by edge).
-``dinic_solve`` mutates ``arc_flow`` in place and returns
-``(flow_value, phases)``; ``residual_reachable`` fills the ``seen``
-byte vector with the residual-reachable set (a min-cut side).
-``level``/``iters``/``stack``/``path``/``queue`` are caller-allocated
-scratch vectors, reused across the repeated flow calls of global
-min-cut and Gomory–Hu.
+to the tail's list, reverse arc to the head's, edge by edge).  Both
+slots take the :class:`~repro.graphs.csr.ResidualNetwork` that owns
+these arrays: ``dinic_solve(net, source, sink)`` mutates
+``net.arc_flow`` in place and returns ``(flow_value, phases)``;
+``residual_reachable(net, source)`` fills the ``net.seen`` byte vector
+with the residual-reachable set (a min-cut side).
+``level``/``iters``/``stack``/``path``/``queue`` are scratch vectors of
+the network, reused across the repeated flow calls of global min-cut
+and Gomory–Hu.  ``net.addresses`` holds the data addresses of all
+eleven arrays, taken once when the network is built, so a compiled
+backend passes them on without converting an array per call.
 
 **Contraction** (``contract_to``) implements one weighted Karger
 contraction pass over an edge list plus a union-find ``parent``
@@ -33,6 +38,50 @@ supplied by the *caller* (one uniform per contraction) precisely so
 python and native backends consume an identical stream.  On return
 ``parent`` is fully path-compressed (``parent[i]`` is the component
 root for every ``i``) and the reached super-node count is reported.
+
+**Karger runs** (``karger_runs``) performs a batch of independent
+weighted Karger contractions down to two super-nodes, each from the
+whole graph, and reproduces a contraction over per-node neighbour
+dicts (the pre-kernel formulation) exactly.  The graph is given as CSR
+rows ``indptr``/``indices``/``weights`` of an undirected snapshot
+without self loops: every edge appears in both endpoints' rows, and
+row ``u`` lists ``u``'s neighbours in the order its neighbour dict
+holds them (a repeated neighbour updates its weight in place, as in a
+dict).  The rules:
+
+* *Edge order.*  Each step lists the live edges node by node in index
+  order, and within node ``u`` in the order of ``u``'s neighbour list,
+  keeping ``{u, v}`` only at its earlier endpoint (``v > u``).  The
+  chosen edge ``(u, v)`` therefore always has ``u < v``: ``v`` is
+  merged into ``u``, and node 0 is never merged away.
+* *Merges* follow dict semantics.  For each live neighbour ``x`` of
+  ``v`` (in ``v``'s list order, skipping ``u``), ``u``'s weight to
+  ``x`` becomes ``w(u, x) + w(v, x)`` in place, or ``0.0 + w(v, x)``
+  appended at the end of ``u``'s list; ``x``'s weight to ``u`` is set
+  to the same value, in place or appended at the end of ``x``'s list.
+  ``v`` then leaves every list without reordering the others.
+* *Total.*  A step's total weight is the sum of the listed weights in
+  list order, as the interpreter's builtin ``sum()`` adds floats:
+  plain left to right before CPython 3.12, and with Neumaier's
+  compensation from 3.12 on (a running correction ``c``, added once at
+  the end when nonzero and finite).  ``compensated`` selects the rule;
+  callers pass :data:`SUM_IS_COMPENSATED`, which is read from
+  ``sys.version_info``.
+* *Pick.*  Run ``r`` consumes ``uniforms[r * (n - 2) : (r + 1) * (n -
+  2)]``, one per step in order; the step picks with ``pick = total *
+  u``, the first edge whose running weight (``acc += w``, from 0.0)
+  reaches ``pick <= acc``, and the last edge when none does.  Drawn by
+  ``gen.random``, this is bit for bit what ``gen.uniform(0.0, total)``
+  returns per step, and it leaves ``gen`` in the same state.
+
+Run ``r`` writes ``values[r]``, the weight between the two final
+super-nodes (``0.0`` when none), and row ``r`` of the ``uint8``
+``(runs, n)`` matrix ``sides``, the indicator of node 0's super-node.
+The slot returns the number of runs completed: fewer than ``runs``
+when a run was left with more than two super-nodes and no edge (a
+graph of three or more components); the rows of the unfinished runs
+are then unspecified.  A compiled backend keeps ``O(n^2)``
+scratch (a weight matrix and the neighbour lists).
 
 **Stoer–Wagner** (``stoer_wagner``) finds the global min cut of an
 undirected graph given as a dense symmetric ``(n, n)`` ``float64``
@@ -64,42 +113,34 @@ like the pre-kernel implementation did.
 from __future__ import annotations
 
 import math
-from typing import List, Tuple
+import sys
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
 _EPS = 1e-12
 
+#: Whether builtin ``sum()`` adds floats with Neumaier compensation, as
+#: CPython does from 3.12 on (``karger_runs`` reproduces its totals).
+SUM_IS_COMPENSATED = sys.version_info >= (3, 12)
+
 
 # ----------------------------------------------------------------------
 # Dinic max flow over flat residual arc arrays
 # ----------------------------------------------------------------------
-def dinic_solve(
-    indptr: np.ndarray,
-    adj: np.ndarray,
-    arc_head: np.ndarray,
-    arc_cap: np.ndarray,
-    arc_flow: np.ndarray,
-    level: np.ndarray,
-    iters: np.ndarray,
-    stack: np.ndarray,
-    path: np.ndarray,
-    queue: np.ndarray,
-    source: int,
-    sink: int,
-) -> Tuple[float, int]:
-    """Run Dinic from ``source`` to ``sink``; mutates ``arc_flow``.
+def dinic_solve(net, source: int, sink: int) -> Tuple[float, int]:
+    """Run Dinic from ``source`` to ``sink``; mutates ``net.arc_flow``.
 
     The hot loops run over plain Python lists (the fastest interpreted
     representation); the mutated flow vector is written back into the
-    caller's ``arc_flow`` array before returning.
+    network's ``arc_flow`` array before returning.
     """
-    n = len(indptr) - 1
-    indptr_l = indptr.tolist()
-    adj_l = adj.tolist()
-    head_l = arc_head.tolist()
-    cap_l = arc_cap.tolist()
-    flow_l = arc_flow.tolist()
+    n = len(net.indptr) - 1
+    indptr_l = net.indptr.tolist()
+    adj_l = net.adj.tolist()
+    head_l = net.arc_head.tolist()
+    cap_l = net.arc_cap.tolist()
+    flow_l = net.arc_flow.tolist()
 
     total = 0.0
     phases = 0
@@ -111,7 +152,7 @@ def dinic_solve(
         total += _blocking_flow(
             n, indptr_l, adj_l, head_l, cap_l, flow_l, levels, source, sink
         )
-    arc_flow[:] = flow_l
+    net.arc_flow[:] = flow_l
     return total, phases
 
 
@@ -176,23 +217,14 @@ def _blocking_flow(
     return total
 
 
-def residual_reachable(
-    indptr: np.ndarray,
-    adj: np.ndarray,
-    arc_head: np.ndarray,
-    arc_cap: np.ndarray,
-    arc_flow: np.ndarray,
-    seen: np.ndarray,
-    stack: np.ndarray,
-    source: int,
-) -> None:
-    """Fill ``seen`` (uint8) with the residual-reachable set from source."""
-    n = len(indptr) - 1
-    indptr_l = indptr.tolist()
-    adj_l = adj.tolist()
-    head_l = arc_head.tolist()
-    cap_l = arc_cap.tolist()
-    flow_l = arc_flow.tolist()
+def residual_reachable(net, source: int) -> None:
+    """Fill ``net.seen`` (uint8) with the residual-reachable set from source."""
+    n = len(net.indptr) - 1
+    indptr_l = net.indptr.tolist()
+    adj_l = net.adj.tolist()
+    head_l = net.arc_head.tolist()
+    cap_l = net.arc_cap.tolist()
+    flow_l = net.arc_flow.tolist()
     seen_l = [0] * n
     seen_l[source] = 1
     work = [source]
@@ -204,7 +236,7 @@ def residual_reachable(
             if not seen_l[head] and cap_l[a] - flow_l[a] > _EPS:
                 seen_l[head] = 1
                 work.append(head)
-    seen[:] = seen_l
+    net.seen[:] = seen_l
 
 
 # ----------------------------------------------------------------------
@@ -270,6 +302,86 @@ def contract_to(
         parent_l[i] = _find(parent_l, i)
     parent[:] = parent_l
     return current, used
+
+
+# ----------------------------------------------------------------------
+# Batched Karger contraction runs with neighbour-dict semantics
+# ----------------------------------------------------------------------
+def float_sum(values: Sequence[float], compensated: bool) -> float:
+    """Builtin ``sum()`` of floats under the plain or the compensated rule."""
+    total = 0.0
+    if not compensated:
+        for x in values:
+            total += x
+        return total
+    c = 0.0
+    for x in values:
+        t = total + x
+        if abs(total) >= abs(x):
+            c += (total - t) + x
+        else:
+            c += (x - t) + total
+        total = t
+    if c and math.isfinite(c):
+        total += c
+    return total
+
+
+def karger_runs(
+    indptr: np.ndarray,
+    indices: np.ndarray,
+    weights: np.ndarray,
+    uniforms: np.ndarray,
+    compensated: bool,
+    values: np.ndarray,
+    sides: np.ndarray,
+) -> int:
+    """Contract each run to two super-nodes; returns the runs completed.
+
+    Each node's neighbours live in an insertion-ordered dict, which is
+    the merge rule of the calling convention verbatim.
+    """
+    n = len(indptr) - 1
+    steps = max(n - 2, 0)
+    ptr = indptr.tolist()
+    nbrs = indices.tolist()
+    wts = weights.tolist()
+    picks = uniforms.tolist()
+    for run in range(values.size):
+        adj: Dict[int, Dict[int, float]] = {
+            u: dict(zip(nbrs[ptr[u] : ptr[u + 1]], wts[ptr[u] : ptr[u + 1]]))
+            for u in range(n)
+        }
+        owner = list(range(n))
+        for step in range(steps):
+            edges = [
+                (u, v, w) for u, row in adj.items() for v, w in row.items() if v > u
+            ]
+            if not edges:
+                return run
+            total = float_sum([w for _, _, w in edges], compensated)
+            pick = total * picks[run * steps + step]
+            chosen = edges[-1]
+            acc = 0.0
+            for edge in edges:
+                acc += edge[2]
+                if pick <= acc:
+                    chosen = edge
+                    break
+            u, v, _ = chosen
+            for x, w in adj[v].items():
+                if x == u:
+                    continue
+                merged = adj[u].get(x, 0.0) + w
+                adj[u][x] = merged
+                adj[x][u] = merged
+                del adj[x][v]
+            adj[u].pop(v, None)
+            del adj[v]
+            owner = [u if o == v else o for o in owner]
+        values[run] = float_sum(list(adj[0].values()), compensated)
+        sides[run] = [o == 0 for o in owner]
+    return values.size
 
 
 # ----------------------------------------------------------------------
@@ -360,6 +472,7 @@ def make_backend():
         dinic_solve=dinic_solve,
         residual_reachable=residual_reachable,
         contract_to=contract_to,
+        karger_runs=karger_runs,
         stoer_wagner=stoer_wagner,
         had_combine_many=had_combine_many,
         had_row_products=had_row_products,

@@ -53,6 +53,7 @@ class KernelBackend:
     dinic_solve: Callable[..., Tuple[float, int]]
     residual_reachable: Callable[..., None]
     contract_to: Callable[..., Tuple[int, int]]
+    karger_runs: Callable[..., int]
     stoer_wagner: Callable[..., float]
     had_combine_many: Callable[..., Any]
     had_row_products: Callable[..., Any]

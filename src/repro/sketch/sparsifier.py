@@ -86,6 +86,8 @@ def importance_sparsify(
     """
     if not 0.0 < epsilon < 1.0:
         raise ParameterError("epsilon must be in (0, 1)")
+    if not constant > 0:
+        raise SketchError("sampling constant must be positive")
     if graph.num_nodes < 2:
         raise ParameterError("graph must have at least two nodes")
     gen = ensure_rng(rng)
@@ -121,6 +123,8 @@ class SparsifierSketch(CutSketch):
     ):
         if not 0.0 < epsilon < 1.0:
             raise SketchError("epsilon must be in (0, 1)")
+        if not constant > 0:
+            raise SketchError("sampling constant must be positive")
         self._epsilon = epsilon
         gen = ensure_rng(rng)
         undirected = UGraph(nodes=graph.nodes())

@@ -10,11 +10,12 @@ its exact rate) so the suite stays deterministic and robust.
 import pytest
 
 from repro.graphs.generators import planted_min_cut_ugraph
-from repro.graphs.mincut import _one_contraction_run, stoer_wagner
+from repro.graphs.mincut import stoer_wagner
 from repro.graphs.ugraph import UGraph
 from repro.localquery.oracle import GraphOracle
 from repro.localquery.verify_guess import fetch_degrees, verify_guess
 from repro.utils.rng import ensure_rng
+from tests.graphs.dict_contraction import _one_contraction_run
 
 
 class TestVerifyGuessSemantics:

@@ -6,16 +6,20 @@ integer-weighted constructions the reproduction runs, every float and
 every set they produce must match exactly.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.graphs.csr import CSRGraph, ResidualNetwork
 from repro.graphs.digraph import DiGraph
 from repro.graphs.generators import random_connected_ugraph
 from repro.graphs.karger_stein import karger_stein_min_cut
 from repro.graphs.maxflow import max_flow
 from repro.graphs.mincut import directed_global_min_cut, stoer_wagner
+from repro.graphs.ugraph import UGraph
 from repro.kernels import reference, using_backend
 from repro.linalg.hadamard import Lemma32Matrix
 
@@ -69,21 +73,17 @@ class TestDinicParity:
         n = 12
         g = _random_digraph(n, 40, 3)
         csr = g.freeze()
+        ref_net = ResidualNetwork(csr.tails, csr.heads, csr.weights, n)
         net = csr.residual_network()
         net.reset()
-        ref_flow = net.arc_flow.copy()
-        total_ref, phases_ref = reference.dinic_solve(
-            net.indptr, net.adj, net.arc_head, net.arc_cap, ref_flow,
-            net.level.copy(), net.iters.copy(), net.stack.copy(),
-            net.path.copy(), net.queue.copy(), 0, n - 1,
-        )
-        total_nat, phases_nat = backend.dinic_solve(
-            net.indptr, net.adj, net.arc_head, net.arc_cap, net.arc_flow,
-            net.level, net.iters, net.stack, net.path, net.queue, 0, n - 1,
-        )
+        total_ref, phases_ref = reference.dinic_solve(ref_net, 0, n - 1)
+        total_nat, phases_nat = backend.dinic_solve(net, 0, n - 1)
         assert total_ref == total_nat
         assert phases_ref == phases_nat
-        assert np.array_equal(ref_flow, net.arc_flow)
+        assert np.array_equal(ref_net.arc_flow, net.arc_flow)
+        reference.residual_reachable(ref_net, 0)
+        backend.residual_reachable(net, 0)
+        assert np.array_equal(ref_net.seen, net.seen)
 
 
 class TestContractionParity:
@@ -121,6 +121,48 @@ class TestContractionParity:
         r2 = backend.contract_to(tails, heads, weights, p2, n, 2, uniforms)
         assert r1 == r2
         assert np.array_equal(p1, p2)
+
+
+class TestKargerRunsParity:
+    @given(
+        st.integers(2, 16), st.integers(0, 2**31), st.booleans(), st.booleans()
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_karger_runs_identical(self, n, seed, integral, compensated):
+        backend = native_backend_or_skip()
+        gen = np.random.default_rng(seed)
+        weights = gen.integers(1, 9, size=3 * n) if integral else gen.random(3 * n)
+        g = random_connected_ugraph(n, extra_edge_prob=0.5, rng=seed)
+        for (u, v, _), w in zip(list(g.edges()), weights.tolist()):
+            g.add_edge(u, v, w, combine="set")
+        csr = g.freeze()
+        runs = 4
+        uniforms = gen.random(runs * (n - 2))
+        out = []
+        for kernels in (reference, backend):
+            values = np.full(runs, -1.0)
+            sides = np.zeros((runs, n), dtype=np.uint8)
+            done = kernels.karger_runs(
+                csr.indptr, csr.heads, csr.weights, uniforms, compensated,
+                values, sides,
+            )
+            out.append((done, values, sides))
+        (d1, v1, s1), (d2, v2, s2) = out
+        assert d1 == d2 == runs
+        assert v1.tobytes() == v2.tobytes()
+        assert np.array_equal(s1, s2)
+        assert s1[:, 0].all()  # node 0 always stays on the side
+
+    def test_three_components_stop_alike(self):
+        backend = native_backend_or_skip()
+        csr = UGraph(edges=[(0, 1, 1.0), (2, 3, 1.0), (4, 5, 1.0)]).freeze()
+        uniforms = np.full(2 * 4, 0.5)
+        for kernels in (reference, backend):
+            values = np.empty(2)
+            sides = np.empty((2, 6), dtype=np.uint8)
+            assert kernels.karger_runs(
+                csr.indptr, csr.heads, csr.weights, uniforms, True, values, sides
+            ) == 0
 
 
 class TestHadamardParity:
@@ -186,3 +228,27 @@ class TestResidualReuse:
         assert csr.residual_network() is net
         assert net.solves == 3
         assert other.value == csr.max_flow(7, 0).value
+
+    def test_edge_flows_are_those_of_their_own_solve(self):
+        g = _random_digraph(8, 24, 5)
+        csr = g.freeze()
+        first = csr.max_flow(0, 7)
+        assert "edge_flows" not in vars(first)  # built on first read
+        later = csr.max_flow(7, 0)  # resets and reuses the same network
+        fresh = CSRGraph.from_digraph(g).max_flow(0, 7)
+        assert later.edge_flows != fresh.edge_flows
+        assert first.edge_flows == fresh.edge_flows
+        assert first == fresh
+
+    def test_unpickled_network_takes_its_own_addresses(self):
+        g = _random_digraph(8, 24, 5)
+        csr = g.freeze()
+        before = csr.max_flow(0, 7)
+        copy = pickle.loads(pickle.dumps(csr))
+        net = copy.residual_network()
+        assert net is not csr.residual_network()
+        assert net.addresses == tuple(
+            getattr(net, name).ctypes.data for name in ResidualNetwork.ARRAYS
+        )
+        assert net.addresses != csr.residual_network().addresses
+        assert copy.max_flow(0, 7) == before

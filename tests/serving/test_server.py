@@ -126,6 +126,8 @@ _BAD_REQUESTS = {
     "min_cut": ("serve.min_cut", {"oid": "nope"}),
     "sketch_eps": ("serve.sketch_query", {"oid": "OID", "mask": "MASK", "epsilon": "abc"}),
     "sketch_seed": ("serve.sketch_query", {"oid": "OID", "mask": "MASK", "seed": -1}),
+    "sketch_const_zero": ("serve.sketch_query", {"oid": "OID", "mask": "MASK", "constant": 0}),
+    "sketch_const_neg": ("serve.sketch_query", {"oid": "OID", "mask": "MASK", "constant": -1}),
     "edge_arity": ("serve.register", {"directed": False, "nodes": [0, 1], "edges": [[0, 1]]}),
     "edge_weight": ("serve.register", {"directed": False, "nodes": [0, 1], "edges": [[0, 1, "w"]]}),
     "shard_no_eps": ("serve.shard_sketch", {"name": "SHARD", "rng_state": "RNG"}),

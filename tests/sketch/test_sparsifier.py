@@ -96,6 +96,11 @@ class TestImportanceSparsify:
         with pytest.raises(ParameterError):
             importance_sparsify(g, epsilon=0.5, connectivity="bogus")
 
+    @pytest.mark.parametrize("constant", [0.0, -1.0, float("nan")])
+    def test_non_positive_constant_rejected(self, constant):
+        with pytest.raises(SketchError, match="sampling constant"):
+            importance_sparsify(dense_ugraph(4, None), epsilon=0.5, constant=constant)
+
 
 class TestSparsifierSketch:
     def test_model(self):
@@ -129,6 +134,13 @@ class TestSparsifierSketch:
         # With p = 1 everywhere (low connectivity), queries are exact.
         for side, value in all_undirected_cut_values(g):
             assert sketch.query(set(side)) == pytest.approx(value)
+
+    @pytest.mark.parametrize("constant", [0.0, -1.0, float("nan")])
+    def test_non_positive_constant_rejected(self, constant):
+        # Such a constant used to build an empty sketch answering 0.0.
+        g = dense_ugraph(6, None)
+        with pytest.raises(SketchError, match="sampling constant"):
+            SparsifierSketch.from_undirected(g, epsilon=0.5, rng=1, constant=constant)
 
     def test_size_bits_reflects_sample(self):
         g = dense_ugraph(12, None)
