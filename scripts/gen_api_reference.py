@@ -39,8 +39,9 @@ Consumers: `all_directed_cut_values(engine="csr")` (default; the
 batch probes, the lower-bound decoders' cut-probe loops, and
 `balance.py`'s exact scans.  `batched_cut_weights(graph, sides)` is the
 one-call convenience wrapper.  Equivalence with the dict path is
-property-tested in `tests/graphs/test_csr_equivalence.py`; timings live
-in the E11 table (`benchmarks/bench_cut_kernel.py`).
+property-tested in `tests/graphs/test_csr_equivalence.py`; timings are
+the `graphs.csr.cut` rows of `python3 perfbench/run.py --workload games
+--trace 1`.
 """,
     "repro.obs": """\
 ### Observability

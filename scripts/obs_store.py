@@ -2,9 +2,9 @@
 """Drive the versioned experiment store: git-like verbs over run artifacts.
 
 The store (default ``.obs/store``) holds immutable, content-addressed
-snapshots of experiment runs — telemetry, wire transcripts, bench gate
-reports, bound summaries — organised into commits on branches per
-experiment line.  See :mod:`repro.obs.store` for the object model.
+snapshots of experiment runs — telemetry, wire transcripts, bound
+summaries — organised into commits on branches per experiment line.
+See :mod:`repro.obs.store` for the object model.
 
 Subcommands::
 
@@ -77,13 +77,9 @@ def cmd_init(args):
 
 def cmd_commit(args):
     store = _open_store(args)
-    bench = args.bench if args.bench is not None else sorted(
-        Path.cwd().glob("BENCH_*.json")
-    )
     files = collect_run_files(
         telemetry_path=args.telemetry,
         capture_path=args.capture,
-        bench_paths=bench,
     )
     oid = store.commit_artifacts(
         files,
@@ -263,12 +259,6 @@ def main(argv=None):
     p = sub.add_parser("commit", help="snapshot one run's artifacts")
     p.add_argument("--telemetry", default=None, help="telemetry JSONL to commit")
     p.add_argument("--capture", default=None, help="wire capture JSONL to commit")
-    p.add_argument(
-        "--bench",
-        nargs="*",
-        default=None,
-        help="BENCH_*.json reports (default: all in the working directory)",
-    )
     p.add_argument("-m", "--message", default=None, help="commit message")
     p.add_argument(
         "--branch",

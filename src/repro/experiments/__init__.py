@@ -1,5 +1,9 @@
-"""Experiment harness shared by the benchmark suite."""
+"""The experiment harness and the paper's tables, run by ``run_all``.
 
-from repro.experiments.harness import Table, geometric_ratio, sweep
+``harness`` renders tables; ``tables`` defines every experiment (E1–E10)
+once; ``python -m repro.experiments.run_all`` runs them.
+"""
 
-__all__ = ["Table", "geometric_ratio", "sweep"]
+from repro.experiments.harness import Table, sweep
+
+__all__ = ["Table", "sweep"]

@@ -1,10 +1,11 @@
 """Shared experiment harness: parameter sweeps and aligned table output.
 
-Every benchmark regenerates one paper artifact by sweeping parameters,
-collecting one :class:`Row` per configuration, and printing a
-fixed-width table (captured into ``bench_output.txt`` by the final run).
-Keeping the rendering here means every experiment reports in the same
-format, which EXPERIMENTS.md quotes directly.
+Every experiment (:mod:`repro.experiments.tables`) regenerates one
+paper artifact by sweeping parameters, collecting one :class:`Row` per
+configuration, and printing a fixed-width table.  Keeping the rendering
+here means every experiment reports in the same format; ``make tables``
+writes the run's output to ``docs/results.txt``, which EXPERIMENTS.md
+quotes.
 
 When the observability switch (:mod:`repro.obs`) is on, each
 :meth:`Table.add_row` also attaches a telemetry record to the row — the
@@ -165,20 +166,9 @@ class Table:
         return "\n".join(lines)
 
     def emit(self) -> None:
-        """Print the rendered table (benchmarks call this once per run)."""
+        """Print the rendered table (``run_all`` calls this once per table)."""
         print()
         print(self.render())
-
-
-def geometric_ratio(xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Mean ratio ``y/x`` — a quick scaling-exponent summary for tables."""
-    pairs = [(x, y) for x, y in zip(xs, ys) if x > 0]
-    if not pairs:
-        raise ValueError("no positive reference values")
-    total = 1.0
-    for x, y in pairs:
-        total *= y / x
-    return total ** (1.0 / len(pairs))
 
 
 def sweep(

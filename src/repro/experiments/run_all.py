@@ -1,4 +1,4 @@
-"""Standalone experiment runner: regenerate paper tables without pytest.
+"""Experiment runner: regenerate the paper's tables.
 
 Usage::
 
@@ -6,10 +6,13 @@ Usage::
     python -m repro.experiments.run_all e1 e6      # a subset
     python -m repro.experiments.run_all --list     # show the registry
 
-Each experiment prints the same harness tables as its benchmark twin in
-``benchmarks/``; this entry point exists so a user can regenerate one
-artifact quickly (and pipe it into a report) without the benchmarking
-machinery.
+The tables themselves are defined once, in
+:mod:`repro.experiments.tables`; this module is only the command line.
+Experiments run in registry order (``e1`` … ``e10``).  An experiment
+that raises has its traceback printed to stderr under its id; the
+remaining experiments still run, and the run exits 1 after the bound
+and SLO summaries.  ``make tables`` writes the ``--no-telemetry``
+stdout to ``docs/results.txt``, the file EXPERIMENTS.md quotes.
 
 Unless ``--no-telemetry`` is passed, the run also records structured
 telemetry (spans, per-row metric deltas, and a final ``summary`` with
@@ -49,13 +52,13 @@ stdout — and therefore any digest of the tables — is identical across
 backends.
 
 ``--commit-run`` snapshots the run's artifacts (telemetry, wire
-capture when ``--capture-wire`` is on, any ``BENCH_*.json`` in the
-working directory, and a bound-check summary) into the versioned
-experiment store at ``--store`` (default ``.obs/store``) after the run
-completes.  The bare flag commits to the store's checked-out branch;
-``--commit-run=lines/kernels`` names one (the ``=`` form is required
-when experiment ids follow on the command line).  Inspect history with
-``scripts/obs_store.py`` (log / diff / bisect / fsck).
+capture when ``--capture-wire`` is on, and a bound-check summary) into
+the versioned experiment store at ``--store`` (default ``.obs/store``)
+after the run completes.  The bare flag commits to the store's
+checked-out branch; ``--commit-run=lines/kernels`` names one (the
+``=`` form is required when experiment ids follow on the command line).
+Inspect history with ``scripts/obs_store.py`` (log / diff / bisect /
+fsck).
 
 ``--slo[=SPEC]`` attaches the live SLO engine (:mod:`repro.obs.slo`):
 a :mod:`repro.obs.live` bus is installed for the run, every telemetry
@@ -70,12 +73,12 @@ and ``--live-port N`` serves Prometheus text at
 ``scripts/obs_watch.py`` tails.  All live status output goes to
 stderr, so stdout digests are unaffected.
 
-Exit codes: 0 success; 2 bound violation under ``--strict-bounds``;
-3 telemetry sink failure (could not open, or writing failed mid-run);
-4 explicitly requested kernel backend unavailable; 5 ``--commit-run``
-could not commit the run into the experiment store (or a baseline SLO
-rule could not resolve its reference from the store); 6 an SLO rule
-breached under ``--slo``.
+Exit codes: 0 success; 1 an experiment raised; 2 bound violation under
+``--strict-bounds``; 3 telemetry sink failure (could not open, or
+writing failed mid-run); 4 explicitly requested kernel backend
+unavailable; 5 ``--commit-run`` could not commit the run into the
+experiment store (or a baseline SLO rule could not resolve its
+reference from the store); 6 an SLO rule breached under ``--slo``.
 """
 
 from __future__ import annotations
@@ -83,9 +86,10 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import Callable, Dict, List, Optional
+import traceback
+from typing import List, Optional
 
-from repro.experiments.harness import Table, sweep
+from repro.experiments.tables import REGISTRY
 from repro.parallel import set_default_jobs
 from repro.obs import (
     REGISTRY as OBS_REGISTRY,
@@ -105,6 +109,8 @@ from repro.obs import memory as obs_memory
 from repro.obs import slo as obs_slo
 from repro.obs.exporters import JsonlExporter, MetricsServer
 
+#: Exit code for an experiment that raised (the others still run).
+EXIT_EXPERIMENT_FAILURE = 1
 #: Exit code for a bound violation under ``--strict-bounds``.
 EXIT_BOUND_VIOLATION = 2
 #: Exit code for a telemetry sink failure.
@@ -119,365 +125,6 @@ EXIT_SLO_BREACH = 6
 #: Exit code for a ``--serve`` smoke whose served responses diverge
 #: from direct in-process evaluation.
 EXIT_SERVE_SMOKE_FAILURE = 7
-
-
-def _e1_foreach() -> List[Table]:
-    import math
-
-    from repro.foreach_lb.game import run_index_game
-    from repro.foreach_lb.params import ForEachParams
-    from repro.sketch.exact import ExactCutSketch
-    from repro.sketch.noisy import NoisyForEachSketch
-
-    params = ForEachParams(inv_eps=4, sqrt_beta=1, num_groups=2)
-    tolerance = params.epsilon / math.log(params.inv_eps)
-    table = Table(
-        title="E1 / Theorem 1.1 - Index game success vs sketch error",
-        columns=["sketch_error", "success_rate", "fano_bits"],
-    )
-    for factor in (0.02, 1.0, 16.0):
-        sketch_eps = min(0.95, factor * tolerance * 0.25)
-        result = run_index_game(
-            params,
-            lambda g, r, e=sketch_eps: NoisyForEachSketch(g, epsilon=e, rng=r),
-            rounds=25,
-            rng=int(factor * 100),
-        )
-        table.add_row(
-            sketch_error=sketch_eps,
-            success_rate=result.success_rate,
-            fano_bits=result.fano_bits(),
-        )
-    # Valid-sketch sweep certifying the Thm 1.1 envelope: a correct
-    # (here exact) sketch of the construction graph must carry
-    # Omega~(n sqrt(beta)/eps) bits at every epsilon on the sweep.
-    sweep_table = Table(
-        title="E1b / Theorem 1.1 - exact sketch bits vs eps",
-        columns=["eps", "n", "beta", "mean_bits", "envelope"],
-        bounds=["thm11.sketch_bits"],
-    )
-    for inv_eps in (2, 4, 8):
-        p = ForEachParams(inv_eps=inv_eps, sqrt_beta=1, num_groups=2)
-        result = run_index_game(
-            p, lambda g, r: ExactCutSketch(g), rounds=3, rng=inv_eps
-        )
-        sweep_table.add_row(
-            eps=p.epsilon,
-            n=p.num_nodes,
-            beta=p.beta,
-            mean_bits=result.mean_sketch_bits,
-            envelope=p.num_nodes * math.sqrt(p.beta) / p.epsilon,
-        )
-    return [table, sweep_table]
-
-
-def _e2_forall() -> List[Table]:
-    from repro.forall_lb.game import run_gap_hamming_game
-    from repro.forall_lb.params import ForAllParams
-    from repro.sketch.exact import ExactCutSketch
-
-    params = ForAllParams(inv_eps_sq=8, beta=1, num_groups=2)
-    result = run_gap_hamming_game(
-        params, lambda g, r: ExactCutSketch(g), rounds=20, rng=1
-    )
-    table = Table(
-        title="E2 / Theorem 1.2 - Gap-Hamming game (exact sketch)",
-        columns=["n", "total_bits", "success_rate", "fano_bits"],
-    )
-    table.add_row(
-        n=params.num_nodes,
-        total_bits=params.total_bits,
-        success_rate=result.success_rate,
-        fano_bits=result.fano_bits(),
-    )
-    # Valid-sketch sweep certifying the Thm 1.2 envelope over epsilon.
-    sweep_table = Table(
-        title="E2b / Theorem 1.2 - exact sketch bits vs eps",
-        columns=["eps", "n", "beta", "mean_bits", "envelope"],
-        bounds=["thm12.sketch_bits"],
-    )
-    for inv_eps_sq in (2, 4, 8):
-        p = ForAllParams(inv_eps_sq=inv_eps_sq, beta=1, num_groups=2)
-        res = run_gap_hamming_game(
-            p, lambda g, r: ExactCutSketch(g), rounds=3, rng=inv_eps_sq
-        )
-        sweep_table.add_row(
-            eps=p.epsilon,
-            n=p.num_nodes,
-            beta=p.beta,
-            mean_bits=res.mean_sketch_bits,
-            envelope=p.num_nodes * p.beta / (p.epsilon * p.epsilon),
-        )
-    return [table, sweep_table]
-
-
-def _e3_localquery() -> List[Table]:
-    from repro.graphs.generators import planted_min_cut_ugraph
-    from repro.localquery.oracle import GraphOracle
-    from repro.localquery.verify_guess import fetch_degrees, verify_guess
-
-    graph, k = planted_min_cut_ugraph(40, 20, rng=20)
-    m = graph.num_edges
-
-    def run_eps(eps: float) -> Dict[str, float]:
-        oracle = GraphOracle(graph)
-        degrees = fetch_degrees(oracle)
-        result = verify_guess(
-            oracle, degrees, t=float(k), eps=eps, rng=0, constant=0.5
-        )
-        return {
-            "queries": result.neighbor_queries,
-            "bound": min(2 * m, m / (eps * eps * k)),
-        }
-
-    table = Table(
-        title="E3 / Theorem 1.3 - VERIFY-GUESS queries vs min{2m, m/(eps^2 k)}",
-        columns=["eps", "queries", "bound"],
-        meta={"m": m, "k": k, "n": graph.num_nodes},
-        bounds=["thm13.queries"],
-    )
-    for row in sweep([{"eps": e} for e in (0.6, 0.45, 0.3, 0.2)], run_eps):
-        table.add_row(
-            eps=row["eps"], queries=row["queries"], bound=row["bound"]
-        )
-
-    # Same certification over the cut-size sweep: the min{2m, m/(eps^2 k)}
-    # curve crosses over from the 2m clamp to the 1/k regime as k grows.
-    def run_cut(cut_size: int) -> Dict[str, float]:
-        g, planted_k = planted_min_cut_ugraph(40, cut_size, rng=cut_size)
-        m_k, eps = g.num_edges, 0.45
-        oracle = GraphOracle(g)
-        degrees = fetch_degrees(oracle)
-        result = verify_guess(
-            oracle, degrees, t=float(planted_k), eps=eps, rng=0, constant=0.5
-        )
-        return {
-            "k": planted_k,
-            "m": m_k,
-            "eps": eps,
-            "queries": result.neighbor_queries,
-            "bound": min(2 * m_k, m_k / (eps * eps * planted_k)),
-        }
-
-    sweep_table = Table(
-        title="E3b / Theorem 1.3 - VERIFY-GUESS queries vs k (eps = 0.45)",
-        columns=["k", "m", "eps", "queries", "bound"],
-        bounds=[("thm13.queries", {"sweep": "k"})],
-    )
-    for row in sweep([{"cut_size": c} for c in (5, 10, 20, 38)], run_cut):
-        sweep_table.add_row(
-            k=row["k"],
-            m=row["m"],
-            eps=row["eps"],
-            queries=row["queries"],
-            bound=row["bound"],
-        )
-    return [table, sweep_table]
-
-
-def _e4_upperbound() -> List[Table]:
-    from repro.graphs.generators import planted_min_cut_ugraph
-    from repro.localquery.mincut_query import estimate_min_cut
-    from repro.localquery.oracle import GraphOracle
-
-    graph, k = planted_min_cut_ugraph(40, 20, rng=0)
-
-    def run_eps(eps: float) -> Dict[str, float]:
-        row = {}
-        for variant in ("naive", "modified"):
-            oracle = GraphOracle(graph)
-            estimate = estimate_min_cut(
-                oracle, eps=eps, rng=1, variant=variant,
-                constant=0.5, search_accuracy=0.5,
-            )
-            row[f"{variant}_search"] = estimate.search_queries
-        return row
-
-    table = Table(
-        title="E4 / Theorem 5.7 - naive vs modified search queries",
-        columns=["eps", "naive_search", "modified_search"],
-        meta={"m": graph.num_edges, "k": k, "n": graph.num_nodes},
-        bounds=["thm57.search_queries"],
-    )
-    for row in sweep([{"eps": e} for e in (0.6, 0.45, 0.3)], run_eps):
-        table.add_row(
-            eps=row["eps"],
-            naive_search=row["naive_search"],
-            modified_search=row["modified_search"],
-        )
-    return [table]
-
-
-def _e5_figure1() -> List[Table]:
-    from repro.foreach_lb.decoder import ForEachDecoder
-    from repro.foreach_lb.encoder import ForEachEncoder
-    from repro.foreach_lb.params import ForEachParams
-    from repro.utils.bitstrings import random_signstring
-
-    def run_config(inv_eps: int, sqrt_beta: int) -> Dict[str, float]:
-        params = ForEachParams(inv_eps=inv_eps, sqrt_beta=sqrt_beta)
-        encoder = ForEachEncoder(params)
-        s = random_signstring(params.string_length, rng=3)
-        encoded = encoder.encode(s)
-        plan = ForEachDecoder(params).query_plans(0)[0]
-        total = encoded.graph.cut_weight(plan.side)
-        return {
-            "forward_w": total - plan.fixed_backward,
-            "backward_w": plan.fixed_backward,
-        }
-
-    table = Table(
-        title="E5 / Figure 1 - decoder cut decomposition",
-        columns=["inv_eps", "sqrt_beta", "forward_w", "backward_w"],
-    )
-    configs = [
-        {"inv_eps": a, "sqrt_beta": b} for a, b in ((4, 1), (8, 1), (8, 2))
-    ]
-    for row in sweep(configs, run_config):
-        table.add_row(
-            inv_eps=row["inv_eps"],
-            sqrt_beta=row["sqrt_beta"],
-            forward_w=row["forward_w"],
-            backward_w=row["backward_w"],
-        )
-    return [table]
-
-
-def _e6_figure2() -> List[Table]:
-    import numpy as np
-
-    from repro.graphs.mincut import stoer_wagner
-    from repro.localquery.gxy import build_gxy
-    from repro.utils.rng import ensure_rng
-
-    def run_config(side: int, gamma: int, seed: int) -> Dict[str, float]:
-        gen = ensure_rng(seed)
-        x = gen.integers(0, 2, size=side * side).astype(np.int8)
-        y = np.zeros(side * side, dtype=np.int8)
-        planted = gen.choice(side * side, size=gamma, replace=False)
-        x[planted] = 1
-        y[planted] = 1
-        gxy = build_gxy(x, y)
-        return {
-            "INT": gxy.intersection(),
-            "mincut": stoer_wagner(gxy.graph)[0],
-            "witness": gxy.part_cut_value(),
-        }
-
-    table = Table(
-        title="E6 / Figure 2 + Lemma 5.5 - MINCUT = 2*INT",
-        columns=["sqrt_N", "INT", "mincut", "witness"],
-    )
-    configs = [
-        {"side": side, "gamma": gamma, "seed": seed}
-        for side, gamma, seed in ((6, 1, 0), (9, 2, 1), (12, 4, 2))
-    ]
-    for row in sweep(configs, run_config):
-        table.add_row(
-            sqrt_N=row["side"],
-            INT=row["INT"],
-            mincut=row["mincut"],
-            witness=row["witness"],
-        )
-    return [table]
-
-
-def _e7_figures36() -> List[Table]:
-    import numpy as np
-
-    from repro.graphs.connectivity import edge_disjoint_path_count
-    from repro.localquery.gxy import build_gxy, representative_figure_pairs
-    from repro.utils.rng import ensure_rng
-
-    gen = ensure_rng(4)
-    side, gamma = 9, 3
-    x = gen.integers(0, 2, size=side * side).astype(np.int8)
-    y = np.zeros(side * side, dtype=np.int8)
-    planted = gen.choice(side * side, size=gamma, replace=False)
-    x[planted] = 1
-    y[planted] = 1
-    gxy = build_gxy(x, y)
-    pairs = list(representative_figure_pairs(gxy))
-
-    def run_pair(index: int) -> Dict[str, float]:
-        u, v, figure = pairs[index]
-        return {
-            "figure": figure,
-            "paths": edge_disjoint_path_count(gxy.graph, u, v),
-            "2gamma": 2 * gxy.intersection(),
-        }
-
-    table = Table(
-        title="E7 / Figures 3-6 - edge-disjoint paths per representative pair",
-        columns=["figure", "paths", "2gamma"],
-    )
-    for row in sweep([{"index": i} for i in range(len(pairs))], run_pair):
-        table.add_row(
-            figure=row["figure"],
-            paths=row["paths"],
-            **{"2gamma": row["2gamma"]},
-        )
-    return [table]
-
-
-def _e8_sparsifier() -> List[Table]:
-    from repro.graphs.ugraph import UGraph
-    from repro.sketch.sparsifier import SparsifierSketch
-
-    g = UGraph(nodes=range(16))
-    for u in range(16):
-        for v in range(u + 1, 16):
-            g.add_edge(u, v, 1.0)
-    def run_eps(eps: float) -> Dict[str, float]:
-        sketch = SparsifierSketch.from_undirected(
-            g, epsilon=eps, rng=17, constant=0.4
-        )
-        return {"kept_edges": sketch.sparse_graph.num_edges // 2}
-
-    table = Table(
-        title="E8 - sparsifier kept edges vs eps (K16)",
-        columns=["eps", "kept_edges"],
-    )
-    for row in sweep([{"eps": e} for e in (0.9, 0.6, 0.4, 0.25)], run_eps):
-        table.add_row(eps=row["eps"], kept_edges=row["kept_edges"])
-    return [table]
-
-
-def _e9_distributed() -> List[Table]:
-    from repro.distributed.coordinator import distributed_min_cut
-    from repro.distributed.server import partition_edges
-    from repro.graphs.ugraph import UGraph
-
-    g = UGraph(nodes=range(36))
-    for u in range(36):
-        for v in range(u + 1, 36):
-            g.add_edge(u, v, 1.0)
-    servers = partition_edges(g, 2, rng=1)
-
-    def run_config(eps: float, strategy: str) -> Dict[str, float]:
-        result = distributed_min_cut(
-            servers, epsilon=eps, strategy=strategy, rng=7,
-            sampling_constant=0.3,
-        )
-        return {"total_bits": result.total_bits, "estimate": result.value}
-
-    table = Table(
-        title="E9 - distributed min-cut communication vs eps",
-        columns=["eps", "strategy", "total_bits", "estimate"],
-    )
-    configs = [
-        {"eps": eps, "strategy": strategy}
-        for eps in (0.4, 0.2)
-        for strategy in ("forall_only", "hybrid")
-    ]
-    for row in sweep(configs, run_config):
-        table.add_row(
-            eps=row["eps"],
-            strategy=row["strategy"],
-            total_bits=row["total_bits"],
-            estimate=row["estimate"],
-        )
-    return [table]
 
 
 def _serve_smoke() -> int:
@@ -550,19 +197,6 @@ def _serve_smoke() -> int:
     return 0
 
 
-REGISTRY: Dict[str, Callable[[], List[Table]]] = {
-    "e1": _e1_foreach,
-    "e2": _e2_forall,
-    "e3": _e3_localquery,
-    "e4": _e4_upperbound,
-    "e5": _e5_figure1,
-    "e6": _e6_figure2,
-    "e7": _e7_figures36,
-    "e8": _e8_sparsifier,
-    "e9": _e9_distributed,
-}
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """Entry point; returns a process exit code."""
     parser = argparse.ArgumentParser(
@@ -572,7 +206,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "experiments",
         nargs="*",
-        help="experiment ids (e1..e9); default: all",
+        help="experiment ids (e1..e10); default: all, in registry order",
     )
     parser.add_argument(
         "--list", action="store_true", help="list experiment ids and exit"
@@ -664,10 +298,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=None,
         metavar="BRANCH",
         help="after the run, commit its artifacts (telemetry, wire "
-        "capture, BENCH_*.json reports, bound summary) into the "
-        "experiment store; the bare flag uses the checked-out branch, "
-        "--commit-run=BRANCH names one (use the '=' form when "
-        "experiment ids follow)",
+        "capture, bound summary) into the experiment store; the bare "
+        "flag uses the checked-out branch, --commit-run=BRANCH names "
+        "one (use the '=' form when experiment ids follow)",
     )
     parser.add_argument(
         "--store",
@@ -736,14 +369,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
 
     if args.list:
-        for key in sorted(REGISTRY):
+        for key in REGISTRY:
             print(key)
         return 0
 
     if args.serve:
         return _serve_smoke()
 
-    chosen = args.experiments or sorted(REGISTRY)
+    chosen = args.experiments or list(REGISTRY)
     unknown = [key for key in chosen if key not in REGISTRY]
     if unknown:
         parser.error(f"unknown experiments: {unknown}; use --list")
@@ -924,6 +557,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     # Every sweep and game round below resolves its worker count through
     # this process-wide default (argument > default > $REPRO_JOBS > 1).
     set_default_jobs(args.jobs)
+    failed: List[str] = []
     try:
         if profiler is not None:
             profiler.start()
@@ -936,9 +570,14 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
         try:
             for key in chosen:
-                with obs_span(f"experiment.{key}"):
-                    for table in REGISTRY[key]():
-                        table.emit()
+                try:
+                    with obs_span(f"experiment.{key}"):
+                        for table in REGISTRY[key]():
+                            table.emit()
+                except Exception:
+                    failed.append(key)
+                    print(f"error: experiment {key} failed:", file=sys.stderr)
+                    traceback.print_exc()
                 if mem_profiler is not None:
                     # Main-thread RSS checkpoint between experiments:
                     # fresh memory.rss_* gauges + one rss event for the
@@ -1015,6 +654,13 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"{len(engine.breaches)} breaches"
         )
 
+    if failed:
+        print(
+            f"error: {len(failed)} experiment(s) failed: {' '.join(failed)}",
+            file=sys.stderr,
+        )
+        return EXIT_EXPERIMENT_FAILURE
+
     if exporter is not None and exporter.error is not None:
         print(
             f"error: live export writing to "
@@ -1053,8 +699,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         # Imported here, not at module scope: the store package pulls in
         # repro.obs.report, which imports the harness, which imports
         # repro.obs — fine at call time, a cycle at import time.
-        from pathlib import Path
-
         from repro.obs.store import (
             DEFAULT_STORE,
             ExperimentStore,
@@ -1071,7 +715,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                 capture_path=(
                     args.capture_path if capture is not None else None
                 ),
-                bench_paths=sorted(Path.cwd().glob("BENCH_*.json")),
             )
             oid = store.commit_artifacts(
                 files,

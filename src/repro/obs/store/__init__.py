@@ -6,9 +6,9 @@ the last run measure"; this package answers the navigation questions a
 between these two runs, did anything rot, and **which commit moved this
 metric**.  It is a small git: immutable zlib-compressed objects
 addressed by SHA-256, trees grouping one run's artifacts (telemetry,
-wire transcripts, bench gate reports, bound summaries — the certified
-envelope evidence of Thms 1.1/1.2/1.3/5.7), commits with parent links,
-branches per experiment line, tags, a reflog, and the verbs over them:
+wire transcripts, bound summaries — the certified envelope evidence of
+Thms 1.1/1.2/1.3/5.7), commits with parent links, branches per
+experiment line, tags, a reflog, and the verbs over them:
 
 * :mod:`repro.obs.store.objects` — the object database
   (:class:`ObjectStore`, :class:`Tree`, :class:`Commit`);

@@ -18,9 +18,9 @@
 
 :func:`collect_run_files` is the bridge from a finished ``run_all``
 run to a committable file mapping: the telemetry JSONL, the optional
-wire transcript, any ``BENCH_*.json`` reports, and a derived
-``bounds.json`` summary (every ``bound_check`` event of the run) so
-bound verdicts are diffable without re-parsing telemetry.
+wire transcript, and a derived ``bounds.json`` summary (every
+``bound_check`` event of the run) so bound verdicts are diffable
+without re-parsing telemetry.
 """
 
 from __future__ import annotations
@@ -327,7 +327,6 @@ def bounds_summary(events: List[Dict[str, Any]]) -> bytes:
 def collect_run_files(
     telemetry_path=None,
     capture_path=None,
-    bench_paths=(),
 ) -> Dict[str, Tuple[bytes, str]]:
     """Build the committable ``name -> (bytes, role)`` map of one run."""
     files: Dict[str, Tuple[bytes, str]] = {}
@@ -341,11 +340,8 @@ def collect_run_files(
             Path(capture_path).read_bytes(),
             "capture",
         )
-    for bench in bench_paths:
-        bench = Path(bench)
-        files[bench.name] = (bench.read_bytes(), "bench")
     if not files:
-        raise StoreError("nothing to commit: no telemetry, capture, or bench files")
+        raise StoreError("nothing to commit: no telemetry or capture file")
     return files
 
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro import obs
-from repro.experiments.harness import Row, Table, geometric_ratio, sweep
+from repro.experiments.harness import Row, Table, sweep
 from repro.obs.sink import ListSink
 
 
@@ -104,20 +104,6 @@ class TestRowTelemetry:
         obs.reset_metrics()
         (event,) = sink.of_kind("row")
         assert event["span_path"] == "experiment.e1"
-
-
-class TestGeometricRatio:
-    def test_constant_ratio(self):
-        assert geometric_ratio([1, 2, 4], [2, 4, 8]) == pytest.approx(2.0)
-
-    def test_mixed_ratios_geomean(self):
-        assert geometric_ratio([1, 1], [2, 8]) == pytest.approx(4.0)
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            geometric_ratio([], [])
-        with pytest.raises(ValueError):
-            geometric_ratio([0.0], [1.0])
 
 
 class TestSweep:

@@ -7,6 +7,7 @@ import pytest
 from repro.experiments.harness import Table
 from repro.experiments.run_all import (
     EXIT_BOUND_VIOLATION,
+    EXIT_EXPERIMENT_FAILURE,
     EXIT_TELEMETRY_FAILURE,
     REGISTRY,
     main,
@@ -17,11 +18,12 @@ from repro.obs.report import aggregate_spans, load_events, metric_totals
 
 
 class TestRegistry:
-    def test_all_nine_experiments_registered(self):
-        assert sorted(REGISTRY) == [f"e{i}" for i in range(1, 10)]
+    def test_all_ten_experiments_registered_in_order(self):
+        assert list(REGISTRY) == [f"e{i}" for i in range(1, 11)]
 
     def test_each_experiment_returns_tables(self):
-        # The cheap ones run here; the full set runs via benchmarks.
+        # The cheap ones run here; CI runs the full set and compares its
+        # stdout with docs/results.txt.
         for key in ("e5", "e6", "e7", "e8"):
             tables = REGISTRY[key]()
             assert tables
@@ -33,8 +35,7 @@ class TestRegistry:
 class TestCli:
     def test_list(self, capsys):
         assert main(["--list"]) == 0
-        out = capsys.readouterr().out
-        assert "e1" in out and "e9" in out
+        assert capsys.readouterr().out.split() == list(REGISTRY)
 
     def test_run_single(self, capsys):
         assert main(["e7", "--no-telemetry"]) == 0
@@ -72,7 +73,7 @@ class TestTelemetry:
         assert main(["e5", "--telemetry", str(path)]) == 0
         capsys.readouterr()
         rows = [e for e in load_events(path) if e["event"] == "row"]
-        assert len(rows) == 3  # e5 prints three configurations
+        assert len(rows) == 6  # e5 prints two tables of three rows
         assert all(r["span_path"] == "experiment.e5" for r in rows)
 
     def test_no_telemetry_writes_nothing(self, tmp_path, capsys, monkeypatch):
@@ -192,6 +193,28 @@ class TestStrictBounds:
         code = main(["e0test", "--strict-bounds", "--no-telemetry"])
         assert code == EXIT_BOUND_VIOLATION
         assert "Bound certification" in capsys.readouterr().out
+
+
+class TestFailureIsolation:
+    def test_raising_experiment_does_not_stop_the_others(
+        self, monkeypatch, capsys
+    ):
+        def _boom():
+            raise RuntimeError("planted failure")
+
+        monkeypatch.setitem(REGISTRY, "e0boom", _boom)
+        code = main([
+            "e5", "e0boom", "e7", "--no-telemetry",
+            "--slo=metric:csr.maxflow.calls<=1e9",
+        ])
+        captured = capsys.readouterr()
+        assert code == EXIT_EXPERIMENT_FAILURE == 1
+        assert "E5 / Figure 1" in captured.out
+        assert "E7 / Figures 3-6" in captured.out
+        assert "== SLO ==" in captured.out
+        assert "experiment e0boom failed" in captured.err
+        assert "RuntimeError: planted failure" in captured.err
+        assert "1 experiment(s) failed: e0boom" in captured.err
 
 
 class TestProfileFlag:

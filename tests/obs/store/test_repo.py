@@ -173,14 +173,9 @@ class TestRunAllBridge:
             '{"event": "bound_check", "spec": "x", "status": "pass"}\n'
             '{"event": "summary", "metrics": {}}\n'
         )
-        bench = tmp_path / "BENCH_run.json"
-        bench.write_text('{"gate": {"passed": true}}')
-        files = collect_run_files(
-            telemetry_path=telemetry, bench_paths=[bench]
-        )
+        files = collect_run_files(telemetry_path=telemetry)
         assert files["telemetry.jsonl"][1] == "telemetry"
         assert files["bounds.json"][1] == "bounds"
-        assert files["BENCH_run.json"][1] == "bench"
         assert json.loads(files["bounds.json"][0])["violations"] == 0
 
     def test_collect_run_files_requires_something(self):
