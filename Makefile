@@ -38,11 +38,14 @@ trace-report:
 bounds-check:
 	PYTHONPATH=src python -m repro.experiments.run_all --strict-bounds
 
+# Record and replay one seeded game of each wire family.
 wire-check:
-	PYTHONPATH=src python scripts/wire_replay.py record foreach --seed 7 \
-		--out wire-check.capture.jsonl
-	PYTHONPATH=src python scripts/wire_replay.py verify wire-check.capture.jsonl
-	rm -f wire-check.capture.jsonl
+	for family in foreach forall localquery distributed; do \
+		PYTHONPATH=src python scripts/wire_replay.py record $$family --seed 7 \
+			--out wire-check.capture.jsonl && \
+		PYTHONPATH=src python scripts/wire_replay.py verify wire-check.capture.jsonl \
+			|| { rm -f wire-check.capture.jsonl; exit 1; }; \
+	done; rm -f wire-check.capture.jsonl
 
 dashboard:
 	PYTHONPATH=src python scripts/obs_db.py ingest --telemetry telemetry.jsonl

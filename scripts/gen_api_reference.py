@@ -36,7 +36,9 @@ The snapshot's batch kernels evaluate many cuts per call:
 
 Consumers: `all_directed_cut_values(engine="csr")` (default; the
 `"dict"` engine is the reference implementation), sketch `query_many`
-batch probes, the lower-bound decoders' cut-probe loops, and
+batch probes, sketch `query_rows` (membership rows over another
+snapshot's labels, mapped by `reindex_membership`), the lower-bound
+decoders' cut-probe loops, and
 `balance.py`'s exact scans.  `batched_cut_weights(graph, sides)` is the
 one-call convenience wrapper.  Equivalence with the dict path is
 property-tested in `tests/graphs/test_csr_equivalence.py`; timings are

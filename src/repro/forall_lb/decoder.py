@@ -23,9 +23,10 @@ subtraction, and takes the subset ``Q`` with the largest estimate
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, islice
+from functools import lru_cache
+from itertools import chain, combinations
 from math import comb
-from typing import FrozenSet, Iterator, List, Optional, Set, Tuple
+from typing import FrozenSet, List, Optional, Set, Tuple
 
 import numpy as np
 
@@ -44,6 +45,32 @@ DEFAULT_ENUMERATION_LIMIT = 20_000
 
 #: Subsets evaluated per batched kernel/sketch call inside :meth:`decide`.
 SUBSET_BATCH = 512
+
+
+@lru_cache(maxsize=8)
+def half_subset_table(
+    group_size: int, enumeration_limit: int = DEFAULT_ENUMERATION_LIMIT
+) -> Optional[np.ndarray]:
+    """The decoder's candidate subsets of a ``group_size`` group, or ``None``.
+
+    One row of indices per half-size subset, in
+    ``combinations(range(group_size), group_size // 2)`` order; ``None``
+    when there are more than ``enumeration_limit`` of them (the decoder
+    then samples).  Cached and read-only, in the smallest unsigned dtype
+    that holds an index: :func:`run_gap_hamming_game` builds it before
+    its pool forks, so workers inherit it.
+    """
+    half = group_size // 2
+    total = comb(group_size, half)
+    if total > enumeration_limit:
+        return None
+    table = np.fromiter(
+        chain.from_iterable(combinations(range(group_size), half)),
+        dtype=np.min_scalar_type(group_size - 1),
+        count=total * half,
+    ).reshape(total, half)
+    table.flags.writeable = False
+    return table
 
 
 @dataclass
@@ -82,25 +109,10 @@ class ForAllDecoder:
             raise ParameterError(
                 f"query string must have length {self.params.string_length}"
             )
+        if not np.all((t == 0) | (t == 1)):
+            raise ParameterError("query string entries must be 0/1")
         cluster_nodes = self.params.cluster_nodes(pair + 1, cluster)
         return {node for node, bit in zip(cluster_nodes, t) if bit}
-
-    def _half_subsets(self, pair: int) -> Tuple[Iterator[FrozenSet[NodeLabel]], int]:
-        """All (or sampled) half-size subsets of the left group ``V_pair``."""
-        group = self.params.group_nodes(pair)
-        half = len(group) // 2
-        total = comb(len(group), half)
-        if total <= self.enumeration_limit:
-            return (frozenset(c) for c in combinations(group, half)), total
-        # Sampling fallback: still a valid instantiation of Lemma 4.4's
-        # argmax as long as the sampled family is large; documented in
-        # DESIGN.md as a scale substitution.
-        def sampled() -> Iterator[FrozenSet[NodeLabel]]:
-            for _ in range(self.enumeration_limit):
-                picks = self._rng.choice(len(group), size=half, replace=False)
-                yield frozenset(group[i] for i in picks)
-
-        return sampled(), self.enumeration_limit
 
     def _fixed_parts(
         self, pair: int, t_nodes: Set[NodeLabel]
@@ -155,46 +167,89 @@ class ForAllDecoder:
     def decide(
         self, sketch: CutSketch, string_index: int, t: BitString
     ) -> ForAllDecision:
-        """Answer HIGH/LOW for the planted pair ``(s_q, t)``."""
+        """Answer HIGH/LOW for the planted pair ``(s_q, t)`` (Lemma 4.4).
+
+        Takes the argmax of ``sketch(S_U) - skeleton(S_U)`` over the
+        half-size subsets ``U`` of the left group (``S_U`` is
+        :meth:`cut_side`).  Candidates are the rows of
+        :func:`half_subset_table`, or, above ``enumeration_limit``, that
+        many random picks from the decoder's generator, each chunk's
+        drawn right before its queries.  Each chunk of
+        :data:`SUBSET_BATCH` candidates is one boolean membership matrix
+        in the skeleton snapshot's column order: its ``cut_weights`` are
+        the skeleton offsets, and a sketch with the optional row path
+        ``query_rows(labels, member)`` (see :class:`CutSketch`) answers
+        it as is.  Other sketches
+        (``query_many`` or ``query`` only) get label sets built as
+        :meth:`cut_side` builds them, in candidate order.  The first
+        strictly greatest value wins, so a NaN answer never does.
+        ``t`` must be a 0/1 string of length ``1/eps^2``.
+        """
         params = self.params
         pair, left_index, cluster = params.locate_string(string_index)
         t_nodes = self._query_nodes(pair, cluster, t)
-        subsets, _total = self._half_subsets(pair)
+        group = params.group_nodes(pair)
+        half = len(group) // 2
+        table = half_subset_table(len(group), self.enumeration_limit)
+        count = len(table) if table is not None else self.enumeration_limit
         rest, later = self._fixed_parts(pair, t_nodes)
 
-        best_value = -np.inf
-        best_subset: Optional[FrozenSet[NodeLabel]] = None
-        examined = 0
         csr = self._skeleton_csr
+        columns = np.array([csr.index_of(node) for node in group], dtype=np.int64)
+        fixed_row = np.zeros(csr.num_nodes, dtype=bool)
+        fixed_row[[csr.index_of(node) for node in chain(rest, later)]] = True
+        query_rows = getattr(sketch, "query_rows", None)
         query_many = getattr(sketch, "query_many", None)
-        while True:
-            chunk = list(islice(subsets, SUBSET_BATCH))
-            if not chunk:
-                break
-            # One skeleton-kernel call for the fixed offsets and one
-            # batched sketch probe per chunk; the sequential scan below
-            # keeps the first-strictly-greater argmax of the loop form.
-            sides = [
-                frozenset(self._join(subset, rest, later)) for subset in chunk
-            ]
-            fixed = csr.cut_weights(csr.membership_matrix(sides))
-            if query_many is not None:
-                observed = query_many(sides)
-            else:  # duck-typed sketches that only implement query()
-                observed = [sketch.query(side) for side in sides]
-            examined += len(chunk)
-            for subset, answer, offset in zip(chunk, observed, fixed):
-                value = answer - float(offset)
-                if value > best_value:
-                    best_value = value
-                    best_subset = subset
-        if best_subset is None:
+
+        best_value = -np.inf
+        best_picks: Optional[np.ndarray] = None
+        for start in range(0, count, SUBSET_BATCH):
+            rows = min(SUBSET_BATCH, count - start)
+            if table is not None:
+                picks = table[start : start + rows]
+            else:
+                # Sampling fallback: still a valid instantiation of Lemma
+                # 4.4's argmax as long as the sampled family is large;
+                # documented in DESIGN.md as a scale substitution.
+                picks = np.array(
+                    [
+                        self._rng.choice(len(group), size=half, replace=False)
+                        for _ in range(rows)
+                    ]
+                )
+            member = np.repeat(fixed_row[None, :], rows, axis=0)
+            member[np.arange(rows)[:, None], columns[picks]] = True
+            fixed = csr.cut_weights(member)
+            if query_rows is not None:
+                observed = query_rows(csr.labels, member)
+            else:
+                sides = [
+                    frozenset(
+                        self._join(
+                            frozenset(group[i] for i in row), rest, later
+                        )
+                    )
+                    for row in picks.tolist()
+                ]
+                if query_many is not None:
+                    observed = query_many(sides)
+                else:  # duck-typed sketches that only implement query()
+                    observed = [sketch.query(side) for side in sides]
+            values = np.asarray(observed, dtype=np.float64) - fixed
+            # np.argmax would pick a NaN; the loop form's ``>`` never does.
+            values[np.isnan(values)] = -np.inf
+            winner = int(np.argmax(values))
+            if values[winner] > best_value:
+                best_value = values[winner]
+                best_picks = picks[winner]
+        if best_picks is None:
             raise ParameterError("no subsets enumerated")
+        best_subset = frozenset(group[i] for i in best_picks.tolist())
         target = (pair, left_index)
         case = GapCase.LOW if target in best_subset else GapCase.HIGH
         return ForAllDecision(
             case=case,
             chosen_subset=best_subset,
-            subsets_examined=examined,
-            queries_made=examined,
+            subsets_examined=count,
+            queries_made=count,
         )

@@ -47,10 +47,11 @@ class ForAllEncoder:
         for pair in range(params.num_groups - 1):
             left = params.group_nodes(pair)
             right = params.group_nodes(pair + 1)
-            for u in left:
-                for v in right:
-                    graph.add_edge(u, v, 1.0)
-                    graph.add_edge(v, u, params.backward_weight)
+            # Forward and backward edges fill disjoint dicts, so two bulk
+            # writes leave every dict as the interleaved edge loop did.
+            edges = len(left) * len(right)
+            graph.add_biclique(left, right, [1.0] * edges)
+            graph.add_biclique(right, left, [params.backward_weight] * edges)
         return graph
 
     def encode(self, strings: Sequence[BitString]) -> ForAllEncodedGraph:

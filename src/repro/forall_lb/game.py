@@ -17,7 +17,11 @@ import numpy as np
 
 from repro.comm.gap_hamming import sample_gap_hamming_instance
 from repro.errors import ParameterError
-from repro.forall_lb.decoder import DEFAULT_ENUMERATION_LIMIT, ForAllDecoder
+from repro.forall_lb.decoder import (
+    DEFAULT_ENUMERATION_LIMIT,
+    ForAllDecoder,
+    half_subset_table,
+)
 from repro.forall_lb.encoder import ForAllEncoder
 from repro.forall_lb.params import ForAllParams
 from repro.graphs.digraph import DiGraph
@@ -114,6 +118,8 @@ def run_gap_hamming_game(
                 _obs_count("game.forall.rounds")
         return success, sketch_bits, float(decision.queries_made)
 
+    # Built before the pool forks, so every worker inherits the table.
+    half_subset_table(params.group_size, enumeration_limit)
     outcomes = run_trials(play_round, rounds, gen, jobs=jobs)
     successes = sum(success for success, _, _ in outcomes)
     total_bits = sum(bits for _, bits, _ in outcomes)

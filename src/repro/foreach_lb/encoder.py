@@ -108,11 +108,10 @@ class ForEachEncoder:
         for pair in range(params.num_groups - 1):
             left = params.group_nodes(pair)
             right = params.group_nodes(pair + 1)
-            for u in left:
-                graph.add_node(u)
-            for v in right:
-                for u in left:
-                    graph.add_edge(v, u, params.backward_weight)
+            graph.add_nodes(left)
+            graph.add_biclique(
+                right, left, [params.backward_weight] * (len(left) * len(right))
+            )
         return graph
 
     def encode(self, s: SignString) -> EncodedGraph:
@@ -172,16 +171,15 @@ class ForEachEncoder:
         cluster_j: int,
         weights: np.ndarray,
     ) -> None:
-        """Write the forward edges of one ``(L_i, R_j)`` block.
+        """Write the forward edges of one ``(L_i, R_j)`` block in one bulk write.
 
         Edge order matches the paper's indexing: first by the left node
         ``u``, then by the right node ``v`` — position ``u * (1/eps) + v``
         of the weight vector.
         """
         params = self.params
-        left = params.cluster_nodes(pair, cluster_i)
-        right = params.cluster_nodes(pair + 1, cluster_j)
-        values = weights.tolist()
-        for ui, u in enumerate(left):
-            for vi, v in enumerate(right):
-                graph.add_edge(u, v, values[ui * params.inv_eps + vi])
+        graph.add_biclique(
+            params.cluster_nodes(pair, cluster_i),
+            params.cluster_nodes(pair + 1, cluster_j),
+            weights.tolist(),
+        )

@@ -391,6 +391,40 @@ class CSRGraph:
         member.reshape(-1)[np.repeat(row_starts, sizes) + columns] = True
         return member
 
+    def reindex_membership(
+        self, labels: Sequence[Node], member: np.ndarray
+    ) -> np.ndarray:
+        """``member``'s rows, whose columns follow ``labels``, in this
+        snapshot's column order.
+
+        ``labels`` are distinct.  Returns ``member`` itself when they
+        equal :attr:`labels` (the mapping is the identity).  Otherwise
+        labels absent from the snapshot may head only all-False columns;
+        a row holding one raises :class:`GraphError`, as
+        :meth:`membership_matrix` does for an unknown node.
+        """
+        member = np.asarray(member, dtype=bool)
+        if member.ndim != 2 or member.shape[1] != len(labels):
+            raise GraphError(f"membership matrix must have {len(labels)} columns")
+        if tuple(labels) == self._labels:
+            return member
+        index = self._index
+        columns = np.fromiter(
+            (index.get(label, -1) for label in labels),
+            dtype=np.int64,
+            count=len(labels),
+        )
+        known = columns >= 0
+        used_unknown = np.flatnonzero(~known & member.any(axis=0))
+        if used_unknown.size:
+            raise GraphError(
+                "cut side contains unknown nodes: "
+                f"[{labels[int(used_unknown[0])]!r}]"
+            )
+        out = np.zeros((member.shape[0], self.num_nodes), dtype=bool)
+        out[:, columns[known]] = member[:, known]
+        return out
+
     def side_from_row(self, row: np.ndarray) -> FrozenSet[Node]:
         """Inverse of :meth:`membership_matrix` for one row."""
         return frozenset(self._labels[i] for i in np.flatnonzero(row))

@@ -19,6 +19,8 @@ Design notes
 
 from __future__ import annotations
 
+from itertools import chain, repeat
+from operator import ge
 from typing import (
     TYPE_CHECKING,
     AbstractSet,
@@ -29,6 +31,7 @@ from typing import (
     Iterator,
     List,
     Optional,
+    Sequence,
     Set,
     Tuple,
 )
@@ -89,8 +92,8 @@ class DiGraph:
         """
         if u == v:
             raise GraphError(f"self loop at {u!r} not allowed")
-        if weight < 0:
-            raise GraphError(f"negative weight {weight} on ({u!r}, {v!r})")
+        if not weight >= 0:  # also rejects NaN
+            raise GraphError(f"negative or NaN weight {weight} on ({u!r}, {v!r})")
         self.add_node(u)
         self.add_node(v)
         if v in self._succ[u]:
@@ -104,6 +107,62 @@ class DiGraph:
             self._num_edges += 1
         self._succ[u][v] = weight
         self._pred[v][u] = weight
+        self._version += 1
+
+    def add_biclique(
+        self,
+        left: Sequence[Node],
+        right: Sequence[Node],
+        weights: Sequence[float],
+    ) -> None:
+        """Add every edge ``left[i] -> right[j]`` in one write.
+
+        Edge ``left[i] -> right[j]`` gets ``weights[i * len(right) + j]``.
+        Order contract: the graph ends exactly as the nested loop
+        ``for i, u in enumerate(left): for j, v in enumerate(right):
+        add_edge(u, v, weights[i * len(right) + j])`` leaves it — same
+        node order, same order in every successor and predecessor dict,
+        the same weight objects — so cut sums over it add in the loop's
+        order.  Everything is validated before anything is written: a
+        self loop, a duplicate or already present edge, a negative or
+        NaN weight, or a length mismatch raises :class:`GraphError` (the
+        loop's message for its first failing edge) and leaves the graph
+        unchanged.  The version counter moves once, so a snapshot frozen
+        before the call goes stale.
+        """
+        left, right, values = list(left), list(right), list(weights)
+        width = len(right)
+        if len(values) != len(left) * width:
+            raise GraphError(
+                f"a {len(left)} x {width} biclique needs "
+                f"{len(left) * width} weights, got {len(values)}"
+            )
+        if not values:
+            return
+        succ, pred = self._succ, self._pred
+        heads = set(right)
+        if not (
+            len(heads) == width
+            and len(set(left)) == len(left)
+            and heads.isdisjoint(left)
+            and all(map(ge, values, repeat(0)))  # w >= 0; rejects NaN
+            and all(heads.isdisjoint(succ.get(u, ())) for u in left)
+        ):
+            # Some edge is invalid: the add_edge loop, replayed on a copy,
+            # raises its own error for the first one.
+            scratch = self.copy()
+            for i, u in enumerate(left):
+                for j, v in enumerate(right):
+                    scratch.add_edge(u, v, values[i * width + j])
+        for node in chain(left[:1], right, left[1:]):
+            if node not in succ:
+                succ[node] = {}
+                pred[node] = {}
+        for i, u in enumerate(left):
+            succ[u].update(zip(right, values[i * width : (i + 1) * width]))
+        for j, v in enumerate(right):
+            pred[v].update(zip(left, values[j::width]))
+        self._num_edges += len(values)
         self._version += 1
 
     def remove_edge(self, u: Node, v: Node) -> None:

@@ -74,8 +74,10 @@ class UGraph:
         """Add undirected edge ``{u, v}``; see :meth:`DiGraph.add_edge`."""
         if u == v:
             raise GraphError(f"self loop at {u!r} not allowed")
-        if weight < 0:
-            raise GraphError(f"negative weight {weight} on {{{u!r}, {v!r}}}")
+        if not weight >= 0:  # also rejects NaN
+            raise GraphError(
+                f"negative or NaN weight {weight} on {{{u!r}, {v!r}}}"
+            )
         self.add_node(u)
         self.add_node(v)
         if v in self._adj[u]:

@@ -37,7 +37,18 @@ class SketchModel(Enum):
 
 
 class CutSketch(ABC):
-    """Abstract cut sketch: query directed cut values, account bits."""
+    """Abstract cut sketch: query directed cut values, account bits.
+
+    A sketch may also define an optional row path,
+    ``query_rows(labels, member) -> np.ndarray``: ``member`` is a
+    boolean matrix whose columns follow ``labels``, and row ``k`` is the
+    side ``{labels[j] : member[k, j]}``.  It returns a float64 array
+    equal, value for value, to :meth:`query_many` of those sides.  The
+    Thm 1.2 decoder uses it whenever it exists, so a subclass that
+    overrides ``query`` or ``query_many`` of a sketch with a row path
+    must override ``query_rows`` too.  The one sketch in this package
+    with a row path is :class:`~repro.sketch.exact.ExactCutSketch`.
+    """
 
     @property
     @abstractmethod
@@ -60,7 +71,9 @@ class CutSketch(ABC):
         including per-query randomness drawn in the same order — but
         sketches backed by a concrete graph override this to evaluate
         all true cut values in one vectorized CSR kernel pass.  Decoders
-        issue their cut probes through this entry point.
+        issue their cut probes through this entry point, or through the
+        optional ``query_rows`` when the sketch has one (see the class
+        docstring).
         """
         return [self.query(side) for side in sides]
 
@@ -74,7 +87,8 @@ class CutSketch(ABC):
     def _obs_queries(self, n: int) -> None:
         """Record ``n`` cut queries under ``sketch.queries`` telemetry.
 
-        Leaf implementations call this from ``query`` / ``query_many``;
+        Leaf implementations call this from ``query`` / ``query_many``
+        (and ``query_rows``, where defined);
         combinators (e.g. the boosted median) do not, so inner queries
         are counted exactly once.
         """

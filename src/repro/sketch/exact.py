@@ -9,6 +9,8 @@ from __future__ import annotations
 
 from typing import AbstractSet, List, Sequence
 
+import numpy as np
+
 from repro.graphs.digraph import DiGraph, Node
 from repro.sketch.base import CutSketch, SketchModel
 from repro.sketch.serialization import DEFAULT_WEIGHT_BITS, graph_size_bits
@@ -41,6 +43,16 @@ class ExactCutSketch(CutSketch):
         member = csr.membership_matrix(sides)
         csr.check_proper(member)
         return csr.cut_weights(member).tolist()
+
+    def query_rows(self, labels: Sequence[Node], member: np.ndarray) -> np.ndarray:
+        """Exact answers for the boolean rows ``member`` (columns follow
+        ``labels``) as a float64 array: :meth:`query_many` of the same
+        sides, value for value, without building label sets."""
+        self._obs_queries(len(member))
+        csr = self._graph.freeze()
+        member = csr.reindex_membership(labels, member)
+        csr.check_proper(member)
+        return csr.cut_weights(member)
 
     def size_bits(self) -> int:
         """Edge-list encoding of the stored graph."""

@@ -66,6 +66,13 @@ class TestDecoderMechanics:
         with pytest.raises(ParameterError):
             decoder.decide(sketch, inst.index, np.ones(3, dtype=np.int8))
 
+    def test_query_string_entries_checked(self):
+        inst, encoded = make_round(SMALL, 1)
+        decoder = ForAllDecoder(SMALL)
+        sketch = ExactCutSketch(encoded.graph)
+        with pytest.raises(ParameterError, match="0/1"):
+            decoder.decide(sketch, inst.index, np.array([2, -1, 0, 7]))
+
     def test_enumeration_limit_validated(self):
         with pytest.raises(ParameterError):
             ForAllDecoder(SMALL, enumeration_limit=0)

@@ -38,6 +38,15 @@ class TestStoerWagner:
         value, _ = stoer_wagner(g)
         assert value == 4.5
 
+    def test_nan_edge_cannot_reach_the_solver(self):
+        """On the path 0-1-2 with NaN on 0-1 the solver answered (1.0, {2}),
+        silently ignoring the NaN edge; the graph now refuses it."""
+        g = UGraph(edges=[(1, 2, 1.0)])
+        with pytest.raises(GraphError):
+            g.add_edge(0, 1, float("nan"))
+        assert g.nodes() == [1, 2]
+        assert stoer_wagner(g)[0] == 1.0
+
     def test_single_node_raises(self):
         with pytest.raises(GraphError):
             stoer_wagner(UGraph(nodes=["a"]))

@@ -35,6 +35,10 @@ class TestConstruction:
         with pytest.raises(GraphError):
             UGraph().add_edge("a", "b", -0.5)
 
+    def test_nan_weight_rejected(self):
+        with pytest.raises(GraphError, match="NaN"):
+            UGraph().add_edge("a", "b", float("nan"))
+
     def test_duplicate_modes(self):
         g = UGraph()
         g.add_edge("a", "b", 1.0)

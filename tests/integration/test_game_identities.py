@@ -7,7 +7,10 @@
 * Lemma 3.2/3.3: for every bit outside a failed block, the exact
   sketch's ``estimate_inner_product`` is ``<w, M_t> = s_q / eps``;
 * Lemma 4.4: ``ForAllDecoder.decide`` picks the first maximiser of
-  ``estimate_block_weight`` over the half-size subsets of the left group.
+  ``estimate_block_weight`` over the half-size subsets of the left group,
+  and returns what the label-set loop it replaced
+  (:mod:`tests.forall_lb.decide_oracle`) returns, for row-path,
+  ``query_many``-only and ``query``-only sketches alike.
 """
 
 from itertools import combinations
@@ -25,8 +28,9 @@ from repro.foreach_lb.encoder import DEFAULT_C1, ForEachEncoder
 from repro.foreach_lb.params import ForEachParams
 from repro.graphs.digraph import DiGraph
 from repro.sketch.exact import ExactCutSketch
-from repro.sketch.noisy import NoisyForAllSketch
+from repro.sketch.noisy import NoisyForAllSketch, NoisyForEachSketch
 from repro.utils.bitstrings import random_signstring
+from tests.forall_lb.decide_oracle import oracle_decide
 
 #: (params, c1, seed).  The last point's small c1 makes most, not all,
 #: blocks exceed the weight cap and fall back to the constant vector.
@@ -156,24 +160,155 @@ def _first_argmax(decoder, sketch, params, string_index, t):
     return best
 
 
+def _forall_skeleton_loop(params):
+    """``ForAllEncoder.skeleton`` as the interleaved edge loop it replaced."""
+    graph = DiGraph()
+    for pair in range(params.num_groups - 1):
+        for u in params.group_nodes(pair):
+            for v in params.group_nodes(pair + 1):
+                graph.add_edge(u, v, 1.0)
+                graph.add_edge(v, u, params.backward_weight)
+    return graph
+
+
 @pytest.mark.parametrize("params", FORALL_POINTS, ids=str)
-@pytest.mark.parametrize("sketch_kind", ["exact", "noisy"])
+def test_forall_skeleton_matches_edge_loop(params):
+    assert _layout(ForAllEncoder(params).skeleton()) == _layout(
+        _forall_skeleton_loop(params)
+    )
+
+
+class _QueryOnlySketch:
+    """A duck-typed sketch with nothing but ``query()``."""
+
+    def __init__(self, graph):
+        self._graph = graph.copy()
+
+    def query(self, side):
+        return self._graph.cut_weight(side)
+
+
+class _DictPathSketch(_QueryOnlySketch):
+    """``query_many`` on the dict path, like ``SpectralSketch``: the float
+    sum follows each side's own iteration order."""
+
+    def query_many(self, sides):
+        return [self.query(side) for side in sides]
+
+
+class _NaNSketch(ExactCutSketch):
+    """Exact, except NaN for every side holding ``node``."""
+
+    def __init__(self, graph, node):
+        super().__init__(graph)
+        self._node = node
+
+    def query(self, side):
+        return np.nan if self._node in side else super().query(side)
+
+    def query_many(self, sides):
+        values = super().query_many(sides)
+        return [np.nan if self._node in side else v for side, v in zip(sides, values)]
+
+    def query_rows(self, labels, member):
+        values = np.array(super().query_rows(labels, member))
+        values[member[:, list(labels).index(self._node)]] = np.nan
+        return values
+
+
+def _sketch(kind, graph, pair):
+    if kind == "exact":
+        return ExactCutSketch(graph)
+    if kind == "noisy":
+        return NoisyForAllSketch(graph, epsilon=0.1, seed=3)
+    if kind == "query_only":
+        return _QueryOnlySketch(graph)
+    if kind == "dict_path":
+        # Non-dyadic weights: sums round differently in different orders.
+        return _DictPathSketch(graph.scale_weights(1.0 / 3.0))
+    return _NaNSketch(graph, (pair, 0))
+
+
+@pytest.mark.parametrize("params", FORALL_POINTS, ids=str)
+@pytest.mark.parametrize(
+    "sketch_kind", ["exact", "noisy", "query_only", "dict_path", "nan"]
+)
 def test_decide_picks_first_argmax(params, sketch_kind):
-    """Lemma 4.4's argmax: the batched decision equals the subset-by-subset
-    first maximum, ties (exact sketch) and all, in every group pair."""
+    """Lemma 4.4's argmax: the batched decision equals the label-set loop
+    it replaced and the subset-by-subset first maximum, ties (exact
+    sketch) and all, in every group pair; NaN answers never win."""
     instance = sample_gap_hamming_instance(
         num_strings=params.num_strings, length=params.string_length, rng=7
     )
     graph = ForAllEncoder(params).encode(instance.strings).graph
-    if sketch_kind == "exact":
-        sketch = ExactCutSketch(graph)
-    else:
-        sketch = NoisyForAllSketch(graph, epsilon=0.1, seed=3)
-    decoder = ForAllDecoder(params, rng=0)
     group_size = params.group_size
     for string_index in sorted({0, instance.index, params.num_strings - 1}):
+        pair = params.locate_string(string_index)[0]
+        sketch = _sketch(sketch_kind, graph, pair)
+        decoder = ForAllDecoder(params, rng=0)
         decision = decoder.decide(sketch, string_index, instance.query)
         assert decision.subsets_examined == comb(group_size, group_size // 2)
-        assert decision.chosen_subset == _first_argmax(
-            decoder, sketch, params, string_index, instance.query
+        oracle = oracle_decide(
+            ForAllDecoder(params, rng=0), sketch, string_index, instance.query
         )
+        assert decision == oracle
+        assert list(decision.chosen_subset) == list(oracle.chosen_subset)
+        if sketch_kind == "nan":
+            assert (pair, 0) not in decision.chosen_subset
+        if sketch_kind != "dict_path":
+            assert decision.chosen_subset == _first_argmax(
+                decoder, sketch, params, string_index, instance.query
+            )
+
+
+@pytest.mark.parametrize("params", FORALL_POINTS[:2], ids=str)
+def test_dict_path_sides_keep_label_set_order(params):
+    """A dict-path sketch sums a side in the side's own iteration order.
+    With non-dyadic weights that order breaks some ties (it does on
+    several of these instances), so ``decide`` must hand such sketches
+    the label sets the loop built, not sets rebuilt in column order."""
+    for seed in range(24):
+        instance = sample_gap_hamming_instance(
+            num_strings=params.num_strings, length=params.string_length, rng=seed
+        )
+        graph = ForAllEncoder(params).encode(instance.strings).graph
+        sketch = _DictPathSketch(graph.scale_weights(1.0 / 3.0))
+        for string_index in sorted({0, instance.index, params.num_strings - 1}):
+            decision = ForAllDecoder(params).decide(
+                sketch, string_index, instance.query
+            )
+            assert decision == oracle_decide(
+                ForAllDecoder(params), sketch, string_index, instance.query
+            )
+
+
+@pytest.mark.parametrize(
+    "params, limit",
+    [
+        (ForAllParams(inv_eps_sq=4, beta=1, num_groups=2), 5),
+        (ForAllParams(inv_eps_sq=12, beta=1, num_groups=2), 700),
+        (ForAllParams(inv_eps_sq=4, beta=2, num_groups=3), 60),
+    ],
+    ids=str,
+)
+def test_sampled_fallback_interleaves_picks_and_noise(params, limit):
+    """Above the enumeration limit the decoder samples its candidates from
+    the generator the game also hands the sketch; picks and for-each
+    noise draws must interleave chunk by chunk exactly as in the loop."""
+    instance = sample_gap_hamming_instance(
+        num_strings=params.num_strings, length=params.string_length, rng=11
+    )
+    graph = ForAllEncoder(params).encode(instance.strings).graph
+
+    def play(decide):
+        rng = np.random.default_rng(5)
+        sketch = NoisyForEachSketch(graph, epsilon=0.2, rng=rng)
+        decoder = ForAllDecoder(params, enumeration_limit=limit, rng=rng)
+        decision = decide(decoder, sketch, instance.index, instance.query)
+        return decision, list(decision.chosen_subset), rng.random()
+
+    decision, order, next_draw = play(
+        lambda decoder, *args: decoder.decide(*args)
+    )
+    assert decision.subsets_examined == limit
+    assert (decision, order, next_draw) == play(oracle_decide)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import SketchError
+from repro.errors import GraphError, SketchError
 from repro.graphs.cuts import all_directed_cut_values
 from repro.graphs.digraph import DiGraph
 from repro.graphs.generators import random_balanced_digraph
@@ -114,6 +114,45 @@ class TestNoisyForAll:
     def test_bad_epsilon(self, graph):
         with pytest.raises(SketchError):
             NoisyForAllSketch(graph, epsilon=-0.1)
+
+
+def _rows(labels, count, seed):
+    """``count`` random proper membership rows over ``labels`` and their
+    label sets; a trailing ``"absent"`` label is never a member."""
+    member = np.random.default_rng(seed).random((count, len(labels))) < 0.5
+    member[:, 0] = True
+    member[:, -1] = False
+    sides = [frozenset(l for l, bit in zip(labels, row) if bit) for row in member]
+    return member, sides
+
+
+@pytest.mark.parametrize("order", ["own", "reversed_plus_absent"])
+def test_query_rows_equals_query_many(graph, order):
+    """Rows over the sketch's own labels or over a permutation with an
+    extra, unused label answer exactly like the same sides' query_many."""
+    labels = graph.nodes()
+    if order != "own":
+        labels = labels[::-1] + ["absent"]
+    member, sides = _rows(labels, 40, seed=3)
+    sketch = ExactCutSketch(graph)
+    answers = sketch.query_rows(labels, member)
+    assert answers.dtype == np.float64
+    assert answers.tolist() == sketch.query_many(sides)
+
+
+def test_reindex_membership_identity_and_errors(graph):
+    csr = graph.freeze()
+    member, _ = _rows(graph.nodes(), 5, seed=1)
+    assert csr.reindex_membership(graph.nodes(), member) is member
+    labels = graph.nodes() + ["absent"]
+    used = np.zeros((2, len(labels)), dtype=bool)
+    used[1, [0, -1]] = True
+    with pytest.raises(GraphError, match="absent"):
+        ExactCutSketch(graph).query_rows(labels, used)
+    with pytest.raises(GraphError, match="columns"):
+        csr.reindex_membership(labels, member)
+    with pytest.raises(GraphError, match="proper"):
+        ExactCutSketch(graph).query_rows(graph.nodes(), np.zeros((1, 8), dtype=bool))
 
 
 class TestSerialization:
