@@ -304,9 +304,10 @@ prints identical stdout with `--kernels python` and with native.
 ### Parallel trial execution
 
 `TrialPool(jobs, timeout, chunk_factor)` fans a list of independent
-trials out over a fork-start process pool; `run_trials(fn, n_trials,
-rng, jobs)` is the seeded form every multi-trial loop uses (foreach /
-forall game rounds, local-query seed sweeps, `harness.sweep`, E1–E9).
+trials out over forked worker processes, started for each `map` and
+joined before it returns; `run_trials(fn, n_trials, rng, jobs)` is the
+seeded form every multi-trial loop uses (foreach / forall game rounds,
+local-query seed sweeps, `harness.sweep`, E1–E9).
 Worker count resolves explicit argument → `set_default_jobs` (what
 `run_all --jobs N` installs) → the `REPRO_JOBS` environment variable →
 serial; `jobs <= 0` means all cores, and `resolve_jobs` returns 1
@@ -322,13 +323,15 @@ histogram sample sequences, wire transcripts, and even non-associative
 float reductions reproduce the serial run byte for byte.  Crashed or
 hung workers get one retry on a fresh process with the same spawned
 seed; a second failure raises `ParallelError` naming the trial index —
-never a silent partial table.  `tests/parallel/test_determinism.py`
-checks this at several worker counts, and CI's digest matrix checks
-that `run_all` prints identical stdout at jobs 1 and 2.
+never a silent partial table.  A trial that raises, or whose result
+cannot be pickled, raises `ParallelError` naming it at once.
+`tests/parallel/test_determinism.py` checks this at several worker
+counts, and CI's digest matrix checks that `run_all` prints identical
+stdout at jobs 1 and 2.
 
 Numeric result tables (uniform floats, ints, or same-shape ndarrays)
 travel back through a preallocated `multiprocessing.shared_memory`
-arena (`repro.parallel.shmipc`) instead of the executor's pickle pipe
+arena (`repro.parallel.shmipc`) instead of the workers' pickle pipes
 — only a small descriptor crosses the pipe; anything non-numeric
 falls back to pickle per chunk, and `REPRO_SHM=0` disables the arena
 entirely (`REPRO_SHM_SLOT_BYTES` sizes the per-chunk slots).  Either

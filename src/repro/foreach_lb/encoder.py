@@ -77,8 +77,10 @@ class ForEachEncoder:
                 "internal inconsistency: Lemma 3.2 matrix has "
                 f"{self._matrix.num_rows} rows, expected {params.bits_per_block}"
             )
-        # Built once; every encode and skeleton() call gets a copy.
-        self._skeleton = self._build_skeleton()
+        # Built once; every encode and skeleton() call gets a copy.  Kept
+        # as a copy itself, so those copies clone its predecessor dicts
+        # instead of rebuilding them (see DiGraph.copy).
+        self._skeleton = self._build_skeleton().copy()
 
     @property
     def matrix(self) -> Lemma32Matrix:

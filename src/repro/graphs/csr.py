@@ -33,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain
+from itertools import chain, islice
 from operator import itemgetter
 from typing import (
     AbstractSet,
@@ -51,6 +51,7 @@ from typing import (
 import numpy as np
 
 from repro.errors import GraphError
+from repro.graphs.digraph import DiGraph
 from repro.obs import STATE as _OBS
 from repro.obs import count as _obs_count
 from repro.obs import memory as _obs_memory
@@ -297,6 +298,30 @@ class CSRGraph:
             count=m,
         )
         return cls(labels, tails, heads, weights)
+
+    def to_digraph(self) -> DiGraph:
+        """A dict :class:`~repro.graphs.digraph.DiGraph` of this snapshot.
+
+        Ordered exactly as ``DiGraph.copy()`` of the frozen graph:
+        successors in CSR row order (the frozen graph's own order),
+        predecessors in in-CSR order (tails in node order, the order
+        ``copy()`` rebuilds).  Weights are Python floats, so cut sums
+        over it equal the copy's.
+        """
+        labels = self._labels
+
+        def rows(neighbors: np.ndarray, weights: np.ndarray, indptr: np.ndarray):
+            pairs = zip(map(labels.__getitem__, neighbors.tolist()), weights.tolist())
+            return {
+                label: dict(islice(pairs, degree))
+                for label, degree in zip(labels, np.diff(indptr).tolist())
+            }
+
+        return DiGraph._from_ordered(
+            rows(self._heads, self._weights, self._indptr),
+            rows(self._rindices, self._rweights, self._rindptr),
+            self.num_edges,
+        )
 
     # ------------------------------------------------------------------
     # inspection

@@ -63,6 +63,10 @@ class DiGraph:
         self._csr_version = -1
         self._total_weight = 0.0
         self._total_weight_version = -1
+        # Version at which copy() built this graph: while it is current,
+        # every predecessor dict is ordered by its tails' node order, so
+        # the next copy() may clone _pred instead of rebuilding it.
+        self._copy_version = -1
         for node in nodes:
             self.add_node(node)
         for u, v, w in edges:
@@ -378,19 +382,37 @@ class DiGraph:
         Order contract: the copy iterates exactly like the edge-by-edge
         rebuild ``DiGraph(self.nodes(), self.edges())`` — same node
         order, same successor order, and each predecessor dict ordered
-        by its tails' node order (which can differ from this graph's own
-        predecessor order, so ``_pred`` is rebuilt, not cloned).  Cut
-        sums that scan predecessors therefore add in the same order as
-        on the rebuilt graph.
+        by its tails' node order.  That can differ from this graph's own
+        predecessor order, so ``_pred`` is rebuilt — unless this graph is
+        itself an unmutated copy, whose predecessor dicts already are in
+        that order and are cloned.  Cut sums that scan predecessors
+        therefore add in the same order as on the rebuilt graph.
+        """
+        succ = {u: dict(nbrs) for u, nbrs in self._succ.items()}
+        if self._copy_version == self._version:
+            pred = {v: dict(nbrs) for v, nbrs in self._pred.items()}
+        else:
+            pred = {u: {} for u in self._succ}
+            for u, nbrs in self._succ.items():
+                for v, w in nbrs.items():
+                    pred[v][u] = w
+        return DiGraph._from_ordered(succ, pred, self._num_edges)
+
+    @staticmethod
+    def _from_ordered(
+        succ: Dict[Node, Dict[Node, float]],
+        pred: Dict[Node, Dict[Node, float]],
+        num_edges: int,
+    ) -> "DiGraph":
+        """A graph owning ``succ`` and ``pred``, stamped as a copy.
+
+        ``pred`` must hold the same edges as ``succ``, each predecessor
+        dict ordered by its tails' node order (the order :meth:`copy`
+        guarantees).
         """
         out = DiGraph()
-        out._succ = {u: dict(nbrs) for u, nbrs in self._succ.items()}
-        pred: Dict[Node, Dict[Node, float]] = {u: {} for u in self._succ}
-        for u, nbrs in self._succ.items():
-            for v, w in nbrs.items():
-                pred[v][u] = w
-        out._pred = pred
-        out._num_edges = self._num_edges
+        out._succ, out._pred, out._num_edges = succ, pred, num_edges
+        out._copy_version = out._version
         return out
 
     def reverse(self) -> "DiGraph":

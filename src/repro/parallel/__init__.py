@@ -1,4 +1,4 @@
-"""Parallel trial execution: deterministic process-pool fan-out.
+"""Parallel trial execution: deterministic fan-out over forked workers.
 
 Public surface:
 
@@ -6,7 +6,8 @@ Public surface:
   times with split randomness, bit-identical to the serial path for any
   worker count;
 * :class:`~repro.parallel.pool.TrialPool` — the chunked work-stealing
-  scheduler underneath (``map`` over arbitrary picklable-result work);
+  scheduler underneath (``map`` over arbitrary picklable-result work;
+  each call forks its workers and joins them before it returns);
 * :func:`~repro.parallel.pool.resolve_jobs` /
   :func:`~repro.parallel.pool.set_default_jobs` — the ``jobs``
   resolution chain (argument → process default → ``REPRO_JOBS`` → 1);

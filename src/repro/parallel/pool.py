@@ -1,11 +1,11 @@
-"""Process-pool trial execution with deterministic results and telemetry.
+"""Forked trial execution with deterministic results and telemetry.
 
 The repository's experiments are embarrassingly parallel at the *trial*
 level — lower-bound game rounds, sweep configurations, benchmark
 repetitions — but every hot loop ran serially before this module.  The
-engine here fans trials out over a forked
-:class:`~concurrent.futures.ProcessPoolExecutor` while keeping two
-promises the rest of the repo depends on:
+engine here fans trials out over forked
+:class:`multiprocessing.Process` workers while keeping two promises the
+rest of the repo depends on:
 
 **Bit-identical results.**  :func:`run_trials` draws one canonical seed
 per trial from the caller's generator via
@@ -26,27 +26,41 @@ sample sequences, wire transcripts, and float summation order match a
 serial run exactly (the PR 2/PR 4 reconciliation invariants hold for
 any worker count).
 
-Failure protocol: an exception raised *by the trial function* aborts
-the run immediately with a :class:`~repro.errors.ParallelError` naming
-the trial index (the worker ships the traceback text).  A *crashed or
-hung worker* (``BrokenProcessPool`` / timeout) triggers an isolation
-pass: every not-yet-finished chunk re-runs one trial at a time on a
-fresh single-worker pool, each trial retried once with the same spawned
-seed; a trial that kills its process twice raises ``ParallelError``
-naming it.  There is no code path that returns a silent partial table.
+Process model: each :meth:`TrialPool.map` forks ``min(jobs, chunks)``
+workers, each with its own pipe.  The parent waits on every busy
+worker's pipe at once (:func:`multiprocessing.connection.wait`), and
+hands the worker that sent back a chunk's payload the next chunk, in
+chunk order.  Workers fork after the work table, the result arena and
+the heartbeat queue are installed, so they inherit all three, closures
+built for this ``map`` included.  Every worker is joined before ``map``
+returns or raises: its exit runs ``multiprocessing``'s finalizers (which
+flush its heartbeats) and its CPU time is reaped.
+
+Failure protocol: an exception raised *by the trial function*, or a
+trial result that cannot be pickled, aborts the run with a
+:class:`~repro.errors.ParallelError` naming the trial index (the worker
+ships the traceback text); with several such trials in flight, the
+first in trial order is named.  A *crashed or hung worker* (its pipe
+closes, or a chunk outlives ``timeout``) triggers an isolation pass:
+every not-yet-finished chunk re-runs one trial at a time on a fresh
+worker, each trial retried once with the same spawned seed; a trial
+that kills its process twice raises ``ParallelError`` naming it.  There
+is no code path that returns a silent partial table.
 """
 
 from __future__ import annotations
 
+import math
 import multiprocessing as mp
 import os
 import queue as _queue
 import time
 import traceback as _tb
-from concurrent.futures import ProcessPoolExecutor, TimeoutError as _FutTimeout
-from concurrent.futures.process import BrokenProcessPool
+from collections import deque
 from itertools import count as _itercount
-from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
+from multiprocessing.connection import wait as _wait_ready
+from multiprocessing.reduction import ForkingPickler
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -67,17 +81,17 @@ _DEFAULT_JOBS: Optional[int] = None
 _IN_WORKER = False
 
 #: Work-unit table, keyed by token.  Entries are installed *before* the
-#: executor is created so forked workers inherit them — this is what
-#: lets ``map`` accept closures and lambdas that pickle cannot ship.
+#: workers fork so they inherit them — this is what lets ``map`` accept
+#: closures and lambdas that pickle cannot ship.
 _WORK: Dict[int, Tuple[Callable[[Any], Any], Sequence[Any]]] = {}
 _TOKENS = _itercount()
 
 #: Shared-memory result arena for the in-flight ``map`` call, installed
-#: before the executor forks so workers inherit the open mapping.
+#: before the workers fork so they inherit the open mapping.
 _ARENA: Optional[shmipc.ResultArena] = None
 
 #: Heartbeat queue for the in-flight ``map`` call, installed before the
-#: executor forks (workers inherit it) and only when the parent has a
+#: workers fork (they inherit it) and only when the parent has a
 #: live bus (:mod:`repro.obs.live`) installed — no bus, no queue, no
 #: cost.  Workers push ``heartbeat`` records; the parent drains them
 #: onto the bus between result polls.
@@ -87,9 +101,10 @@ _HEARTBEAT_Q: Optional[Any] = None
 #: parent wakes this often to drain beats and publish ``live.tick``.
 _POLL_S = 0.1
 
-#: Longest wait, once every chunk has returned, for ``end`` beats still
-#: in a worker's queue feeder thread (a killed worker never sends one).
-_END_BEAT_WAIT_S = 2.0
+#: Longest wait for workers to exit once told to (or terminated); one
+#: still running after it is killed.  An exiting worker first flushes
+#: the beats still in its queue feeder thread.
+_EXIT_WAIT_S = 2.0
 
 
 def fork_available() -> bool:
@@ -171,7 +186,7 @@ def _run_chunk(token: int, start: int, stop: int, slot: int = -1) -> Dict[str, A
     ``{"start", "results", "delta", "pid"}`` on success, with
     ``"failure"`` describing the first trial whose function raised
     (results stop there).  Worker crashes never return at all; the
-    parent sees ``BrokenProcessPool`` instead.
+    parent sees the worker's pipe close instead.
 
     ``slot >= 0`` points at this chunk's slot in the fork-inherited
     shared-memory arena: uniformly numeric results are written there in
@@ -200,7 +215,7 @@ def _run_chunk(token: int, start: int, stop: int, slot: int = -1) -> Dict[str, A
         except Exception as exc:
             failure = {
                 "index": index,
-                "error": f"{type(exc).__name__}: {exc}",
+                "error": f"raised {type(exc).__name__}: {exc}",
                 "traceback": _tb.format_exc(),
             }
             break
@@ -227,14 +242,94 @@ def _run_chunk(token: int, start: int, stop: int, slot: int = -1) -> Dict[str, A
     }
 
 
+def _serve(token: int, conn) -> None:
+    """Worker process body: run each chunk the parent sends, reply with
+    its payload.
+
+    A task is ``(start, stop, slot)``, run by :func:`_run_chunk` through
+    this module's global (so a wrapper installed before the fork runs
+    too).  ``None`` ends the loop; the process then exits through
+    ``multiprocessing``'s bootstrap, which runs its finalizers.
+    """
+    while True:
+        try:
+            task = conn.recv()
+        except EOFError:  # the parent is gone
+            return
+        if task is None:
+            return
+        start, stop, slot = task
+        payload = _run_chunk(token, start, stop, slot)
+        try:
+            data = ForkingPickler.dumps(payload)
+        except Exception as exc:  # a result that cannot be pickled
+            data = ForkingPickler.dumps(_unpicklable(payload, exc))
+        conn.send_bytes(data)
+
+
+def _unpicklable(payload: Dict[str, Any], error: Exception) -> Dict[str, Any]:
+    """``payload`` without its results, failing at the first trial whose
+    result does not pickle (the chunk's first trial when each result
+    pickles on its own and ``error`` came from the rest)."""
+    index = payload["start"]
+    for offset, result in enumerate(payload["results"]):
+        try:
+            ForkingPickler.dumps(result)
+        except Exception as exc:
+            index, error = index + offset, exc
+            break
+    failure = {
+        "index": index,
+        "error": (
+            "returned a result that cannot be pickled: "
+            f"{type(error).__name__}: {error}"
+        ),
+        "traceback": "".join(
+            _tb.format_exception(type(error), error, error.__traceback__)
+        ),
+    }
+    return dict(payload, results=[], shm=None, delta=None, failure=failure)
+
+
+class _Worker:
+    """One forked worker process and the parent's end of its pipe."""
+
+    def __init__(self, ctx, token: int):
+        self.conn, child_conn = ctx.Pipe()
+        self.process = ctx.Process(target=_serve, args=(token, child_conn))
+        self.process.start()
+        # The worker now holds the only copy of its end, so the parent
+        # reads EOF on its own end once the worker dies.
+        child_conn.close()
+        #: The chunk in flight, ``(start, stop, slot)``, or None when idle.
+        self.task: Optional[Tuple[int, int, int]] = None
+        self.deadline = math.inf
+
+    def send(self, task: Tuple[int, int, int], timeout: Optional[float]) -> None:
+        """Hand the worker ``task``; it must answer within ``timeout`` s."""
+        self.conn.send(task)
+        self.task = task
+        self.deadline = (
+            math.inf if timeout is None else time.monotonic() + timeout
+        )
+
+    def receive(self) -> Optional[Dict[str, Any]]:
+        """The in-flight chunk's payload, or None if the worker died."""
+        self.task = None
+        try:
+            return self.conn.recv()
+        except (EOFError, OSError):
+            return None
+
+
 class TrialPool:
     """Chunked fan-out of independent trials over forked workers.
 
     ``jobs`` resolves through :func:`resolve_jobs`; ``timeout`` (seconds
     per in-flight chunk, None = wait forever) guards against hung
     workers; ``chunk_factor`` tunes the work-stealing granularity of
-    :func:`chunk_plan`.  A pool object is cheap — the executor lives
-    only for the duration of each :meth:`map` call, so the work table
+    :func:`chunk_plan`.  A pool object is cheap — its workers live only
+    for the duration of each :meth:`map` call, so the work table
     installed just before forking is always current.
     """
 
@@ -255,8 +350,6 @@ class TrialPool:
             "shm_chunks": 0,
             "pickle_chunks": 0,
         }
-        #: Chunk starts whose ``end`` beat the in-flight ``map`` drained.
-        self._ended: Set[int] = set()
 
     def map(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> List[Any]:
         """``[fn(item) for item in items]``, fanned out when it pays.
@@ -266,12 +359,12 @@ class TrialPool:
         when the pool resolves to one worker, the platform lacks
         ``fork``, or there are fewer than two items.  The parallel path
         returns results in item order and merges worker telemetry in
-        chunk start order; see the module docstring for the failure
-        protocol.
+        chunk start order; see the module docstring for the process
+        model and the failure protocol.
 
         Numeric result tables travel back through a preallocated
         shared-memory arena (:mod:`repro.parallel.shmipc`) instead of
-        the executor's pickle pipe; everything else falls back to
+        the workers' pickle pipes; everything else falls back to
         pickle.  Either transport returns value-identical lists.
         """
         global _ARENA, _HEARTBEAT_Q
@@ -290,15 +383,13 @@ class TrialPool:
         _ARENA = arena
         # The heartbeat queue exists only while a live bus is installed
         # in this (parent) process; it must be created before the
-        # executor forks so workers inherit it.
+        # workers fork so they inherit it.
         hb_queue = None
         if _live.active() is not None:
             hb_queue = mp.get_context("fork").Queue()
         _HEARTBEAT_Q = hb_queue
-        self._ended.clear()
         try:
             payloads = self._run_parallel(token, chunks)
-            self._await_end_beats({payload["start"] for payload in payloads})
             from repro.parallel import obsmerge
 
             stats = {"shm_chunks": 0, "pickle_chunks": 0}
@@ -319,7 +410,9 @@ class TrialPool:
             self.last_transport_stats = stats
             return results
         finally:
-            self._drain_heartbeats()  # late beats (workers' "end")
+            # Every worker has been joined, so the beats it sent (its
+            # "end" beats included) are all in the queue.
+            self._drain_heartbeats()
             _HEARTBEAT_Q = None
             if hb_queue is not None:
                 hb_queue.close()
@@ -342,56 +435,73 @@ class TrialPool:
     def _first_pass(
         self, token: int, chunks: List[Tuple[int, int]]
     ) -> Tuple[List[Dict[str, Any]], List[Tuple[int, int]]]:
-        """Submit every chunk at once; work stealing balances the load.
+        """Run the chunks on ``min(jobs, chunks)`` workers; each worker
+        that answers takes the next chunk (work stealing).
 
         Returns ``(completed payloads, chunks needing the isolation
-        pass)``.  A trial-function failure raises immediately; a crash
-        or hang demotes every unfinished chunk to the isolation pass.
+        pass)``.  A trial-function failure raises once every earlier
+        chunk has answered, naming the first failing trial; a crash or
+        hang demotes every unfinished chunk to the isolation pass.
         Chunk ``i`` owns arena slot ``i``; isolation-pass re-runs ship
         by pickle (``slot = -1``), so a crashed chunk's half-written
         slot is never read.
         """
         ctx = mp.get_context("fork")
-        executor = ProcessPoolExecutor(max_workers=self.jobs, mp_context=ctx)
-        futures = {
-            executor.submit(_run_chunk, token, start, stop, slot): (start, stop)
-            for slot, (start, stop) in enumerate(chunks)
-        }
-        payloads: List[Dict[str, Any]] = []
-        pending: List[Tuple[int, int]] = []
+        todo = deque((start, stop, slot) for slot, (start, stop) in enumerate(chunks))
+        done: Dict[int, Dict[str, Any]] = {}
+        failures: List[Dict[str, Any]] = []
         broken = False
+        workers: List[_Worker] = []
         try:
-            for future, chunk in futures.items():
+            for _ in range(min(self.jobs, len(chunks))):
+                workers.append(_Worker(ctx, token))
+                workers[-1].send(todo.popleft(), self.timeout)
+            while True:
+                first_failure = min(
+                    (failure["index"] for failure in failures), default=math.inf
+                )
+                busy = [
+                    worker for worker in workers
+                    if worker.task is not None and worker.task[0] < first_failure
+                ]
+                if not busy:
+                    break
+                ready = self._wait(busy)
+                if not ready:  # a chunk outlived the timeout
+                    broken = True
+                    break
+                for worker in ready:
+                    slot = worker.task[2]
+                    payload = worker.receive()
+                    if payload is None:
+                        broken = True
+                    elif payload["failure"] is not None:
+                        failures.append(payload["failure"])
+                    else:
+                        done[slot] = payload
                 if broken:
-                    pending.append(chunk)
-                    continue
-                try:
-                    payload = self._await(future)
-                except BrokenProcessPool:
-                    broken = True
-                    pending.append(chunk)
-                    continue
-                except _FutTimeout:
-                    self._kill_workers(executor)
-                    broken = True
-                    pending.append(chunk)
-                    continue
-                if payload["failure"] is not None:
-                    self._raise_trial_failure(payload["failure"])
-                payloads.append(payload)
+                    break
+                for worker in ready:
+                    if todo and not failures:
+                        worker.send(todo.popleft(), self.timeout)
+        except OSError:  # a worker's pipe closed under a send: it died
+            broken = True
         finally:
-            executor.shutdown(wait=False, cancel_futures=True)
-        return payloads, pending
+            self._stop(workers)
+        if failures and not broken:
+            self._raise_trial_failure(min(failures, key=lambda f: f["index"]))
+        pending = [chunk for slot, chunk in enumerate(chunks) if slot not in done]
+        return [done[slot] for slot in sorted(done)], pending
 
     def _isolation_pass(
         self, token: int, chunks: List[Tuple[int, int]]
     ) -> List[Dict[str, Any]]:
         """Re-run unfinished chunks one trial at a time, retrying once.
 
-        A fresh single-worker pool per attempt makes crash attribution
-        unambiguous: exactly one trial is ever in flight, so a broken
-        pool names its trial.  Each trial re-runs with the same spawned
-        seed (the work table still holds it); a second crash raises
+        A fresh worker per attempt makes crash attribution unambiguous:
+        exactly one trial is ever in flight, so a dead worker names its
+        trial.  Each trial re-runs with the same spawned seed (the work
+        table still holds it); a second crash raises
         :class:`ParallelError` carrying the trial index.
         """
         ctx = mp.get_context("fork")
@@ -404,59 +514,85 @@ class TrialPool:
     def _run_isolated(self, ctx, token: int, index: int) -> Dict[str, Any]:
         last_error = "worker process died"
         for _attempt in range(2):
-            executor = ProcessPoolExecutor(max_workers=1, mp_context=ctx)
+            worker = _Worker(ctx, token)
             try:
-                future = executor.submit(_run_chunk, token, index, index + 1)
-                try:
-                    payload = self._await(future)
-                except BrokenProcessPool:
-                    last_error = "worker process died"
+                worker.send((index, index + 1, -1), self.timeout)
+                if not self._wait([worker]):
+                    last_error = f"worker exceeded the {self.timeout}s timeout"
                     continue
-                except _FutTimeout:
-                    self._kill_workers(executor)
-                    last_error = (
-                        f"worker exceeded the {self.timeout}s timeout"
-                    )
+                payload = worker.receive()
+                if payload is None:
+                    last_error = "worker process died"
                     continue
                 if payload["failure"] is not None:
                     self._raise_trial_failure(payload["failure"])
                 return payload
             finally:
-                executor.shutdown(wait=False, cancel_futures=True)
+                self._stop([worker])
         raise ParallelError(
             f"trial {index} failed after a retry on a fresh worker "
             f"({last_error}); no partial results were returned",
             trial=index,
         )
 
-    # -- heartbeat plumbing --------------------------------------------
+    # -- worker plumbing -----------------------------------------------
 
-    def _await(self, future) -> Dict[str, Any]:
-        """``future.result`` with heartbeat draining while waiting.
+    def _wait(self, busy: List[_Worker]) -> List[_Worker]:
+        """The busy workers whose pipe has a payload to read (or closed).
 
-        With no heartbeat queue installed this is exactly the old
-        blocking call — identical behaviour, zero overhead.  With one,
-        the wait is sliced into ``_POLL_S`` polls; each slice drains
-        worker beats onto the live bus and publishes a ``live.tick``
-        (which drives windowed SLO evaluation — a worker whose beats
-        stop trips the stall rule *here*, while its future is still
-        pending, before any timeout/retry path runs).  The caller's
-        timeout semantics are preserved: :class:`_FutTimeout` is raised
-        once ``self.timeout`` has elapsed in total.
+        Blocks until there is one, or returns ``[]`` once some chunk has
+        been in flight for ``timeout`` seconds.  With no heartbeat queue
+        installed this is one blocking wait.  With one, the wait is
+        sliced into ``_POLL_S`` polls; each slice drains worker beats
+        onto the live bus and publishes a ``live.tick`` (which drives
+        windowed SLO evaluation — a worker whose beats stop trips the
+        stall rule *here*, while its chunk is still pending, before any
+        timeout/retry path runs).
         """
-        if _HEARTBEAT_Q is None:
-            return future.result(timeout=self.timeout)
-        deadline = (
-            None if self.timeout is None
-            else time.monotonic() + self.timeout
-        )
+        by_conn = {worker.conn: worker for worker in busy}
+        deadline = min(worker.deadline for worker in busy)
         while True:
             self._drain_heartbeats()
-            try:
-                return future.result(timeout=_POLL_S)
-            except _FutTimeout:
-                if deadline is not None and time.monotonic() >= deadline:
-                    raise
+            wait_s = max(0.0, deadline - time.monotonic())
+            if _HEARTBEAT_Q is not None:
+                wait_s = min(wait_s, _POLL_S)
+            ready = _wait_ready(list(by_conn), None if wait_s == math.inf else wait_s)
+            if ready:
+                return [by_conn[conn] for conn in ready]
+            if time.monotonic() >= deadline:
+                return []
+
+    def _stop(self, workers: List[_Worker]) -> None:
+        """Tell idle workers to exit, terminate busy ones, join them all.
+
+        Beats are drained while waiting: a worker's exit flushes its
+        heartbeat queue, which blocks while the queue's pipe is full.
+        """
+        for worker in workers:
+            if worker.task is None:
+                try:
+                    worker.conn.send(None)
+                except OSError:
+                    pass  # it already died
+            else:
+                worker.process.terminate()
+        deadline = time.monotonic() + _EXIT_WAIT_S
+        running = [worker.process for worker in workers]
+        while running:
+            self._drain_heartbeats()
+            wait_s = deadline - time.monotonic()
+            if wait_s <= 0:
+                for process in running:
+                    process.kill()
+                break
+            _wait_ready([process.sentinel for process in running], min(wait_s, _POLL_S))
+            running = [process for process in running if process.exitcode is None]
+        for worker in workers:
+            worker.process.join()
+            worker.process.close()
+            worker.conn.close()
+
+    # -- heartbeat plumbing --------------------------------------------
 
     def _drain_heartbeats(self) -> None:
         """Move queued worker beats onto the live bus, then tick it."""
@@ -468,57 +604,18 @@ class TrialPool:
                 record = hb_queue.get_nowait()
             except (_queue.Empty, OSError, ValueError):
                 break
-            self._publish_beat(record)
+            _live.publish(record)
         _live.tick()
-
-    def _publish_beat(self, record: Dict[str, Any]) -> None:
-        if record.get("phase") == "end":
-            self._ended.add(record["chunk"])
-        _live.publish(record)
-
-    def _await_end_beats(self, starts: Set[int]) -> None:
-        """Publish beats until each chunk in ``starts`` has sent ``end``.
-
-        A worker puts its ``end`` beat before returning its chunk, but
-        the beat reaches the pipe through the worker's queue feeder
-        thread, so the result can arrive first.  The wait is bounded by
-        :data:`_END_BEAT_WAIT_S` for a worker killed in between.
-        """
-        hb_queue = _HEARTBEAT_Q
-        if hb_queue is None:
-            return
-        deadline = time.monotonic() + _END_BEAT_WAIT_S
-        while not starts <= self._ended:
-            remaining = deadline - time.monotonic()
-            if remaining <= 0:
-                break
-            try:
-                record = hb_queue.get(timeout=remaining)
-            except (_queue.Empty, OSError, ValueError):
-                break
-            self._publish_beat(record)
 
     # -- failure plumbing ----------------------------------------------
 
     @staticmethod
     def _raise_trial_failure(failure: Dict[str, Any]) -> None:
         raise ParallelError(
-            f"trial {failure['index']} raised {failure['error']}\n"
+            f"trial {failure['index']} {failure['error']}\n"
             f"{failure['traceback']}",
             trial=failure["index"],
         )
-
-    @staticmethod
-    def _kill_workers(executor: ProcessPoolExecutor) -> None:
-        """Terminate a hung pool's processes (forces ``BrokenProcessPool``).
-
-        Reaches into executor internals — there is no public kill switch
-        on :class:`ProcessPoolExecutor` — guarded so a future stdlib
-        that renames the attribute degrades to waiting, not crashing.
-        """
-        processes = getattr(executor, "_processes", None) or {}
-        for process in list(processes.values()):
-            process.terminate()
 
 
 def run_trials(

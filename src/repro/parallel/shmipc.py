@@ -1,15 +1,15 @@
 """Zero-copy result transport over ``multiprocessing.shared_memory``.
 
-The pool's workers used to ship every chunk's results back through the
-``ProcessPoolExecutor`` pickle pipe.  For the numeric result tables the
-experiments actually produce — floats, ints, equally-shaped numeric
-arrays — that serializes each value, copies it through a socket, and
-deserializes it in the parent.  This module replaces the pipe with a
-**preallocated shared-memory arena**: one fixed-size slot per chunk,
-created by the parent *before* the executor forks (so workers inherit
-the mapping — no name lookups, no per-chunk attach), written in place
-by the worker, and read directly by the parent.  Only a tiny descriptor
-dict (kind, count, dtype, shape) still travels over the pipe.
+The pool's workers used to ship every chunk's results back through
+their pickle pipes.  For the numeric result tables the experiments
+actually produce — floats, ints, equally-shaped numeric arrays — that
+serializes each value, copies it through a socket, and deserializes it
+in the parent.  This module replaces the pipe with a **preallocated
+shared-memory arena**: one fixed-size slot per chunk, created by the
+parent *before* the workers fork (so they inherit the mapping — no name
+lookups, no per-chunk attach), written in place by the worker, and read
+directly by the parent.  Only a tiny descriptor dict (kind, count,
+dtype, shape) still travels over the pipe.
 
 The transport is strictly an optimization and never changes values:
 
@@ -161,10 +161,10 @@ class ResultArena:
     """A slotted shared-memory segment for one :meth:`TrialPool.map` call.
 
     ``slots`` fixed-size slots, one per planned chunk.  The parent
-    constructs it before creating the executor; forked workers inherit
-    the open mapping through the module global installed by the pool and
-    write their slot in place.  :meth:`close` (parent, ``finally``)
-    unlinks the segment.
+    constructs it before forking the workers, which inherit the open
+    mapping through the module global installed by the pool and write
+    their slot in place.  :meth:`close` (parent, ``finally``) unlinks
+    the segment.
     """
 
     def __init__(self, slots: int, slot_size: Optional[int] = None):

@@ -24,7 +24,7 @@ be small.
 from __future__ import annotations
 
 import hashlib
-from typing import AbstractSet, FrozenSet, List, Sequence
+from typing import AbstractSet, FrozenSet, List, Optional, Sequence
 
 import numpy as np
 
@@ -59,7 +59,8 @@ class NoisyForEachSketch(CutSketch):
             raise SketchError("epsilon must be in [0, 1)")
         if not 0.0 <= failure_prob < 1.0:
             raise SketchError("failure_prob must be in [0, 1)")
-        self._graph = graph.copy()
+        self._csr = graph.freeze()
+        self._graph: Optional[DiGraph] = None
         self._epsilon = epsilon
         self._failure_prob = failure_prob
         self._adversarial = adversarial
@@ -88,6 +89,8 @@ class NoisyForEachSketch(CutSketch):
     def query(self, side: AbstractSet[Node]) -> float:
         """Fresh (1 +- eps) noise; occasional adversarial garbage."""
         self._obs_queries(1)
+        if self._graph is None:
+            self._graph = self._csr.to_digraph()
         return self._perturb(self._graph.cut_weight(side))
 
     def query_many(self, sides: Sequence[AbstractSet[Node]]) -> List[float]:
@@ -95,14 +98,14 @@ class NoisyForEachSketch(CutSketch):
         then per-query noise drawn in the same order as repeated
         :meth:`query` calls (so games are reproducible either way)."""
         self._obs_queries(len(sides))
-        csr = self._graph.freeze()
+        csr = self._csr
         member = csr.membership_matrix(sides)
         csr.check_proper(member)
         true_values = csr.cut_weights(member)
         return [self._perturb(float(value)) for value in true_values]
 
     def size_bits(self) -> int:
-        return self._obs_size(graph_size_bits(self._graph))
+        return self._obs_size(graph_size_bits(self._csr))
 
 
 class NoisyForAllSketch(CutSketch):
@@ -123,7 +126,8 @@ class NoisyForAllSketch(CutSketch):
     ):
         if not 0.0 <= epsilon < 1.0:
             raise SketchError("epsilon must be in [0, 1)")
-        self._graph = graph.copy()
+        self._csr = graph.freeze()
+        self._graph: Optional[DiGraph] = None
         self._epsilon = epsilon
         self._adversarial = adversarial
         self._seed = seed
@@ -148,12 +152,14 @@ class NoisyForAllSketch(CutSketch):
     def query(self, side: AbstractSet[Node]) -> float:
         """Deterministic (1 +- eps) answer for this cut."""
         self._obs_queries(1)
+        if self._graph is None:
+            self._graph = self._csr.to_digraph()
         return self._perturb(self._graph.cut_weight(side), side)
 
     def query_many(self, sides: Sequence[AbstractSet[Node]]) -> List[float]:
         """Batched queries: vectorized true values, per-cut fingerprints."""
         self._obs_queries(len(sides))
-        csr = self._graph.freeze()
+        csr = self._csr
         member = csr.membership_matrix(sides)
         csr.check_proper(member)
         true_values = csr.cut_weights(member)
@@ -163,4 +169,4 @@ class NoisyForAllSketch(CutSketch):
         ]
 
     def size_bits(self) -> int:
-        return self._obs_size(graph_size_bits(self._graph))
+        return self._obs_size(graph_size_bits(self._csr))

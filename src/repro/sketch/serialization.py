@@ -33,6 +33,7 @@ import math
 from typing import Union
 
 from repro.errors import SketchError
+from repro.graphs.csr import CSRGraph
 from repro.graphs.digraph import DiGraph
 from repro.graphs.ugraph import UGraph
 
@@ -54,7 +55,7 @@ def edge_bits(num_nodes: int, weight_bits: int = DEFAULT_WEIGHT_BITS) -> int:
 
 
 def graph_size_bits(
-    graph: Union[DiGraph, UGraph], weight_bits: int = DEFAULT_WEIGHT_BITS
+    graph: Union[DiGraph, UGraph, CSRGraph], weight_bits: int = DEFAULT_WEIGHT_BITS
 ) -> int:
-    """Bits to transmit the graph as a weighted edge list."""
+    """Bits to transmit the graph or a DiGraph snapshot as a weighted edge list."""
     return graph.num_edges * edge_bits(graph.num_nodes, weight_bits)

@@ -395,6 +395,56 @@ def mutated_ugraphs(draw):
     return _grow(UGraph(nodes=isolated), labels, draw(_OPS), remove_node=False)
 
 
+def _pick_pair(g, data):
+    """Two distinct labels, each a node of ``g`` or a new one."""
+    labels = g.nodes() + ["fresh", ("new",)]
+    u = data.draw(st.sampled_from(labels))
+    v = data.draw(st.sampled_from([x for x in labels if x != u]))
+    return u, v
+
+
+def _add_biclique(g, data):
+    labels = g.nodes() + ["fresh", ("new",)]
+    right = data.draw(st.lists(st.sampled_from(labels), min_size=1, unique=True))
+    left = data.draw(
+        st.lists(
+            st.sampled_from([x for x in labels if x not in right] or ["spare"]),
+            min_size=1,
+            unique=True,
+        )
+    )
+    left = [u for u in left if not any(g.has_edge(u, v) for v in right)]
+    size = len(left) * len(right)
+    g.add_biclique(
+        left, right, data.draw(st.lists(_WEIGHTS, min_size=size, max_size=size))
+    )
+
+
+def _remove_edge(g, data):
+    if g.num_edges:
+        g.remove_edge(*data.draw(st.sampled_from(list(g.edges())))[:2])
+
+
+def _remove_node(g, data):
+    if g.num_nodes:
+        g.remove_node(data.draw(st.sampled_from(g.nodes())))
+
+
+#: One drawn call of each ``DiGraph`` mutator, applied to ``g``.
+_COPY_MUTATORS = {
+    "add_node": lambda g, data: g.add_node(data.draw(st.sampled_from(LABEL_POOL))),
+    "add_edge_set": lambda g, data: g.add_edge(
+        *_pick_pair(g, data), data.draw(_WEIGHTS), combine="set"
+    ),
+    "add_edge_add": lambda g, data: g.add_edge(
+        *_pick_pair(g, data), data.draw(_WEIGHTS), combine="add"
+    ),
+    "add_biclique": _add_biclique,
+    "remove_edge": _remove_edge,
+    "remove_node": _remove_node,
+}
+
+
 def _digraph_layout(g):
     nodes = g.nodes()
     return (
@@ -431,6 +481,23 @@ class TestCopyOrder:
     @settings(max_examples=150, deadline=None)
     def test_digraph_copy_matches_rebuild(self, g):
         assert _digraph_layout(g.copy()) == _digraph_layout(_oracle_digraph_copy(g))
+
+    @given(mutated_digraphs())
+    @settings(max_examples=150, deadline=None)
+    def test_digraph_copy_of_copy_matches_rebuild(self, g):
+        # An unmutated copy clones its predecessor dicts when copied.
+        want = _digraph_layout(_oracle_digraph_copy(g))
+        assert _digraph_layout(g.copy().copy()) == want
+        assert _digraph_layout(g.freeze().to_digraph()) == want
+
+    @pytest.mark.parametrize("mutator", sorted(_COPY_MUTATORS))
+    @given(g=mutated_digraphs(), data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_mutated_copy_of_copy_matches_rebuild(self, mutator, g, data):
+        # Any mutation ends the clone shortcut: the next copy rebuilds.
+        c = g.copy().copy()
+        _COPY_MUTATORS[mutator](c, data)
+        assert _digraph_layout(c.copy()) == _digraph_layout(_oracle_digraph_copy(c))
 
     @given(mutated_ugraphs())
     @settings(max_examples=150, deadline=None)

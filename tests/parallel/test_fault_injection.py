@@ -9,6 +9,8 @@ surface a ParallelError naming the trial.
 """
 
 import os
+import pickle
+import threading
 import time
 
 import pytest
@@ -44,6 +46,22 @@ class TestTrialExceptions:
         with pytest.raises(ParallelError) as excinfo:
             TrialPool(jobs=2).map(fn, [0, 1])
         assert "deep" in str(excinfo.value)  # worker traceback included
+
+
+class TestUnpicklableResults:
+    def test_error_names_the_trial_and_the_pickling_error(self):
+        lock = threading.Lock()
+
+        def fn(item):
+            return lock if item == 3 else item
+
+        with pytest.raises(TypeError) as pickling:
+            pickle.dumps(lock)
+        with pytest.raises(ParallelError) as excinfo:
+            TrialPool(jobs=2).map(fn, list(range(6)))
+        assert excinfo.value.trial == 3
+        assert str(pickling.value) in str(excinfo.value)
+        assert "cannot be pickled" in str(excinfo.value)
 
 
 class TestWorkerCrashes:

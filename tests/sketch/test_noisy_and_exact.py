@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import GraphError, SketchError
-from repro.graphs.cuts import all_directed_cut_values
+from repro.graphs.cuts import all_directed_cut_values, enumerate_cut_sides
 from repro.graphs.digraph import DiGraph
 from repro.graphs.generators import random_balanced_digraph
 from repro.sketch.base import SketchModel
@@ -24,6 +24,30 @@ def graph():
     return random_balanced_digraph(8, beta=3.0, density=0.4, rng=0)
 
 
+#: Each sketch class, built the same way every time (seeded noise).
+_SKETCHES = {
+    "exact": ExactCutSketch,
+    "noisy for-each": lambda g: NoisyForEachSketch(
+        g, epsilon=0.3, failure_prob=0.25, rng=7
+    ),
+    "noisy for-all": lambda g: NoisyForAllSketch(g, epsilon=0.3, seed=7),
+}
+
+
+def _shuffled_graph(weights):
+    """A 7-node digraph whose edges were added in shuffled order (so its
+    predecessor dicts are out of node order), with non-dyadic float
+    weights (k/7) or int weights."""
+    rng = np.random.default_rng(4)
+    pairs = [(u, v) for u in range(7) for v in range(7) if u != v]
+    order = rng.permutation(len(pairs))[:26]
+    g = DiGraph(nodes=range(7))
+    for index in order:
+        k = int(rng.integers(0, 30))
+        g.add_edge(*pairs[index], k / 7 if weights == "float" else k)
+    return g
+
+
 class TestExactSketch:
     def test_model_and_epsilon(self, graph):
         sketch = ExactCutSketch(graph)
@@ -35,13 +59,40 @@ class TestExactSketch:
         for side, value in all_directed_cut_values(graph):
             assert sketch.query(set(side)) == pytest.approx(value)
 
-    def test_isolated_from_later_mutation(self, graph):
-        sketch = ExactCutSketch(graph)
-        side = {graph.nodes()[0]}
-        before = sketch.query(side)
-        u, v, w = next(graph.edges())
-        graph.add_edge(u, v, w + 100.0, combine="set")
-        assert sketch.query(side) == before
+    def test_isolated_from_later_mutation(self):
+        """Every sketch class answers from what it held at build time:
+        after its source is mutated, each answer (noise included) and
+        its size equal those of the same sketch built on a copy taken
+        before the mutation — on every cut, both sides of n/2."""
+        for kind, make in _SKETCHES.items():
+            for weights in ("float", "int"):
+                where = f"{kind} sketch, {weights} weights"
+                graph = _shuffled_graph(weights)
+                before = graph.copy()
+                sketch, twin = make(graph), make(before)
+                labels = graph.nodes()
+                u, v, w = next(graph.edges())
+                graph.add_edge(u, v, w + 100, combine="set")
+                a, b = next(
+                    (a, b) for a in labels for b in labels
+                    if a != b and not graph.has_edge(a, b)
+                )
+                graph.add_edge(a, b, 3)
+                graph.remove_node(labels[-1])
+                sides = [set(side) for side in enumerate_cut_sides(labels)]
+                assert any(2 * len(side) > len(labels) for side in sides)
+                answers = [sketch.query(side) for side in sides]
+                assert answers == [twin.query(side) for side in sides], where
+                if kind == "exact":  # summed in the copy's order, too
+                    assert answers == [before.cut_weight(s) for s in sides], where
+                assert sketch.query_many(sides) == twin.query_many(sides), where
+                if kind == "exact":
+                    member = np.array([[x in side for x in labels] for side in sides])
+                    assert (
+                        sketch.query_rows(labels, member).tolist()
+                        == twin.query_rows(labels, member).tolist()
+                    ), where
+                assert sketch.size_bits() == twin.size_bits(), where
 
     def test_size_positive(self, graph):
         assert ExactCutSketch(graph).size_bits() > 0
