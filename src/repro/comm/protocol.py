@@ -20,7 +20,7 @@ from __future__ import annotations
 import pickle
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Any, Generic, TypeVar
+from typing import Any, Collection, Generic, TypeVar
 
 from repro.errors import ProtocolError
 from repro.obs import STATE as _OBS
@@ -167,6 +167,24 @@ class BitLedger:
             _capture.record(
                 self.sender, self.receiver, kind, bits, payload=payload
             )
+
+    def charge_many(
+        self, bits: int, kind: str, payloads: Collection[Any]
+    ) -> None:
+        """One :meth:`charge` of ``bits`` bits per entry of ``payloads``.
+
+        With telemetry off the tallies move once for the whole batch;
+        with it on, each transfer is still its own wire event, in
+        ``payloads``' iteration order.
+        """
+        if _OBS.enabled:
+            for payload in payloads:
+                self.charge(bits, kind=kind, payload=payload)
+            return
+        if bits < 0:
+            raise ProtocolError("cannot charge negative bits")
+        self._bits.inc(bits * len(payloads))
+        self._charges.inc(len(payloads))
 
     def merged_with(self, other: "BitLedger") -> "BitLedger":
         """A new ledger combining two accounts."""

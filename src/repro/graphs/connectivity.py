@@ -58,17 +58,21 @@ def _unit_snapshot(graph: UGraph) -> CSRGraph:
     ``graph.freeze()`` already stores each edge in both directions, so
     swapping its weights for ones gives the unit-capacity bidirected
     network.  Flows on it are integers, so the path counts do not
-    depend on the arc order.  Built once per certification batch; its
-    residual network is then reused by every flow call.
+    depend on the arc order.  When the weights are already all ones, as
+    in every ``G_{x,y}``, the cached snapshot itself is the view, and
+    its residual network serves every later call on the unchanged
+    graph; otherwise the view is built once per certification batch.
     """
     csr = graph.freeze()
+    if (csr.weights == 1.0).all():
+        return csr
     return CSRGraph(csr.labels, csr.tails, csr.heads, np.ones(csr.num_edges))
 
 
 def _unit_flow_value(unit: CSRGraph, u: Node, v: Node) -> int:
     if u == v:
         raise GraphError("endpoints must differ")
-    return int(round(unit.max_flow(unit.index_of(u), unit.index_of(v)).value))
+    return int(round(unit.max_flow_value(unit.index_of(u), unit.index_of(v))))
 
 
 def edge_disjoint_path_count(graph: UGraph, u: Node, v: Node) -> int:

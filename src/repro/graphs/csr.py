@@ -726,6 +726,20 @@ class CSRGraph:
         through the selected kernel backend (:mod:`repro.kernels`);
         python and native backends produce bit-identical flows.
         """
+        total = self.max_flow_value(source, sink)
+        side = np.flatnonzero(self.residual_side(source)).tolist()
+        return CSRFlowResult(
+            value=total,
+            source_side=frozenset(side),
+            flows=np.maximum(self._residual.arc_flow[0::2], 0.0),
+        )
+
+    def max_flow_value(self, source: int, sink: int) -> float:
+        """:meth:`max_flow`'s value alone.
+
+        The flow stays on the residual network until the next solve, so
+        :meth:`residual_side` can still read its cut.
+        """
         from repro.kernels import get_backend, mark_use
 
         n = self.num_nodes
@@ -741,13 +755,18 @@ class CSRGraph:
         if _OBS.enabled:
             _obs_count("csr.maxflow.calls")
             _obs_observe("csr.maxflow.phases", phases)
+        return total
+
+    def residual_side(self, source: int) -> np.ndarray:
+        """A ``uint8`` row marking the nodes residual-reachable from
+        ``source`` after the last solve: a minimum cut's source side."""
+        from repro.kernels import get_backend, mark_use
+
+        net = self.residual_network()
+        backend = get_backend()
+        mark_use(backend)
         backend.residual_reachable(net, source)
-        side = np.flatnonzero(net.seen).tolist()
-        return CSRFlowResult(
-            value=total,
-            source_side=frozenset(side),
-            flows=np.maximum(net.arc_flow[0::2], 0.0),
-        )
+        return net.seen.copy()
 
     def __repr__(self) -> str:
         return f"CSRGraph(n={self.num_nodes}, m={self.num_edges})"

@@ -170,8 +170,7 @@ def max_flow(
     on the graph's cached CSR snapshot — residual arc arrays are built
     straight from the snapshot's flat edge arrays, with no per-call
     neighbor-dict copies, and the snapshot itself is reused across the
-    repeated flow calls of directed min cut, Gomory–Hu and sparsifier
-    connectivity.  :attr:`FlowResult.edge_flows` is built on first read.
+    repeated flow calls of Gomory–Hu and sparsifier connectivity.  :attr:`FlowResult.edge_flows` is built on first read.
     ``engine="dict"`` is the original object-graph Dinic, kept as the
     reference implementation.
     """

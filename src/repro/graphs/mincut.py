@@ -6,6 +6,8 @@ Three independent implementations, used to cross-check one another:
   undirected weighted graphs, run by the selected kernel backend.  This
   is the reference algorithm behind Lemma 5.5's
   ``MINCUT(G_{x,y}) = 2 INT(x, y)`` experiments.
+  :func:`snapshot_min_cut_value` runs the same kernel on a snapshot
+  built without a dict graph, such as a VERIFY-GUESS sample.
 * :func:`karger_min_cut` — Monte-Carlo contraction; also used to *sample*
   near-minimum cuts for the distributed min-cut application (the paper's
   Section 1 observation that there are at most ``n^{O(C)}`` cuts within a
@@ -29,10 +31,11 @@ import numpy as np
 from repro.errors import GraphError
 from repro.graphs.csr import _DENSE_N_LIMIT, CSRGraph
 from repro.graphs.digraph import DiGraph, Node
-from repro.graphs.maxflow import max_flow
 from repro.graphs.ugraph import UGraph
 from repro.kernels import get_backend, mark_use
 from repro.kernels.reference import SUM_IS_COMPENSATED
+from repro.obs import STATE as _OBS
+from repro.obs import count as _obs_count
 from repro.utils.rng import RngLike, ensure_rng
 
 #: Uniforms plus side cells one batch of contraction runs may hold, so
@@ -60,12 +63,44 @@ def stoer_wagner(graph: UGraph) -> Tuple[float, FrozenSet[Node]]:
     if len(components) > 1:
         return 0.0, frozenset(components[0])
     csr = graph.freeze()
+    value, side = _stoer_wagner_kernel(csr)
+    return value, csr.side_from_row(side)
+
+
+def snapshot_min_cut_value(csr: CSRGraph) -> float:
+    """Global min-cut value of an undirected snapshot; 0.0 if disconnected.
+
+    ``csr`` stores each edge in both directions, as ``UGraph.freeze()``
+    does.  Up to the dense limit this is one Stoer–Wagner kernel call,
+    which on a disconnected snapshot returns exactly 0.0: some phase
+    ends on a node with no edge into the set, and its cut is a sum of
+    zeros.  Above the limit a disconnected snapshot returns 0.0 and a
+    connected one raises :class:`GraphError`, as :func:`stoer_wagner`
+    does.
+    """
+    if csr.num_nodes < 2:
+        raise GraphError("min cut needs at least two nodes")
+    if csr.num_nodes > _DENSE_N_LIMIT and not _reaches_all(csr):
+        return 0.0
+    return _stoer_wagner_kernel(csr)[0]
+
+
+def _stoer_wagner_kernel(csr: CSRGraph) -> Tuple[float, np.ndarray]:
+    """The backend's Stoer–Wagner on ``csr``'s dense weights.
+
+    Returns the min-cut value and a ``uint8`` row marking its side.
+    """
     weights = csr.adjacency_matrix()
-    side = np.zeros(n, dtype=np.uint8)
+    side = np.zeros(csr.num_nodes, dtype=np.uint8)
     backend = get_backend()
     mark_use(backend)
-    value = backend.stoer_wagner(weights, side)
-    return value, csr.side_from_row(side)
+    return backend.stoer_wagner(weights, side), side
+
+
+def _reaches_all(csr: CSRGraph) -> bool:
+    """Whether node 0 reaches every node along positive-weight edges."""
+    csr.residual_network().reset()
+    return bool(csr.residual_side(0).all())
 
 
 def karger_min_cut(
@@ -172,21 +207,22 @@ def directed_global_min_cut(graph: DiGraph) -> Tuple[float, FrozenSet[Node]]:
 
     Standard reduction: fix any node ``r``; the optimal ``S`` either
     contains ``r`` (min over sinks t of min r-t cut) or not (min over
-    sources s of min s-r cut).  Requires ``2(n-1)`` max-flow calls.
+    sources s of min s-r cut).  Requires ``2(n-1)`` max-flow calls, all
+    on one residual network of ``graph.freeze()``; a side is read off
+    the residual graph only when a flow value beats the best so far.
     """
     nodes = graph.nodes()
     if len(nodes) < 2:
         raise GraphError("min cut needs at least two nodes")
-    root = nodes[0]
+    csr = graph.freeze()
     best_value = math.inf
     best_side: FrozenSet[Node] = frozenset()
-    for other in nodes[1:]:
-        fwd = max_flow(graph, root, other)
-        if fwd.value < best_value:
-            best_value = fwd.value
-            best_side = fwd.source_side
-        bwd = max_flow(graph, other, root)
-        if bwd.value < best_value:
-            best_value = bwd.value
-            best_side = bwd.source_side
+    for other in range(1, len(nodes)):
+        for source, sink in ((0, other), (other, 0)):
+            if _OBS.enabled:
+                _obs_count("maxflow.calls.csr")
+            value = csr.max_flow_value(source, sink)
+            if value < best_value:
+                best_value = value
+                best_side = csr.side_from_row(csr.residual_side(source))
     return best_value, best_side

@@ -22,7 +22,7 @@ into an ``O(T)``-bit 2-SUM protocol in the proof of Theorem 1.3.
 from __future__ import annotations
 
 import math
-from typing import List, Optional, Set, Tuple
+from typing import Iterable, List, Optional, Set
 
 import numpy as np
 
@@ -49,6 +49,15 @@ _EDGE_RULES = {
     (PART_B, PART_A_PRIME): True,
 }
 
+#: A vertex's part mapped to its ``j``-th neighbor's part when the slot's
+#: index pair intersects, and when it does not (see :meth:`neighbor`).
+_NEIGHBOR_PARTS = {
+    PART_A: (PART_B_PRIME, PART_A_PRIME),
+    PART_B: (PART_A_PRIME, PART_B_PRIME),
+    PART_A_PRIME: (PART_B, PART_A),
+    PART_B_PRIME: (PART_A, PART_B),
+}
+
 
 class CommOracle(LocalQueryOracle):
     """Answers local queries on ``G_{x,y}`` by Alice/Bob bit exchange."""
@@ -66,7 +75,8 @@ class CommOracle(LocalQueryOracle):
         self._y = y
         self._side = side
         self.ledger = BitLedger()
-        self._known: Set[Tuple[int, int]] = set()
+        #: Positions ``i * side + j`` of the index pairs exchanged so far.
+        self._known: Set[int] = set()
 
     @property
     def side(self) -> int:
@@ -77,24 +87,26 @@ class CommOracle(LocalQueryOracle):
     def vertices(self) -> List[GxyNode]:
         return [(part, index) for part in PARTS for index in range(self._side)]
 
+    def _is_node(self, v: GxyNode) -> bool:
+        return (
+            isinstance(v, tuple)
+            and len(v) == 2
+            and v[0] in PARTS
+            and 0 <= v[1] < self._side
+        )
+
     def _check_node(self, v: GxyNode) -> None:
-        if (
-            not isinstance(v, tuple)
-            or len(v) != 2
-            or v[0] not in PARTS
-            or not 0 <= v[1] < self._side
-        ):
+        if not self._is_node(v):
             raise OracleError(f"unknown vertex {v!r}")
 
     def _reveal(self, i: int, j: int) -> bool:
         """Exchange (and remember) ``x_{i,j}, y_{i,j}``; return intersection."""
-        key = (i, j)
-        if key not in self._known:
+        pos = i * self._side + j
+        if pos not in self._known:
             self.ledger.charge(
                 2, kind="localquery.reveal", payload=(int(i), int(j))
             )
-            self._known.add(key)
-        pos = i * self._side + j
+            self._known.add(pos)
         return bool(self._x[pos] and self._y[pos])
 
     def degree(self, v: GxyNode) -> int:
@@ -116,17 +128,44 @@ class CommOracle(LocalQueryOracle):
         if index >= self._side:
             return None
         part, pos = v
-        if part == PART_A:
+        if part in (PART_A, PART_B):
             meets = self._reveal(pos, index)
-            return (PART_B_PRIME if meets else PART_A_PRIME, index)
-        if part == PART_B:
-            meets = self._reveal(pos, index)
-            return (PART_A_PRIME if meets else PART_B_PRIME, index)
-        if part == PART_A_PRIME:
+        else:
             meets = self._reveal(index, pos)
-            return (PART_B if meets else PART_A, index)
-        meets = self._reveal(index, pos)  # part == PART_B_PRIME
-        return (PART_A if meets else PART_B, index)
+        met, missed = _NEIGHBOR_PARTS[part]
+        return (met if meets else missed, index)
+
+    def neighbors(
+        self, v: GxyNode, indices: Iterable[int]
+    ) -> List[Optional[GxyNode]]:
+        """Bulk neighbor queries with :meth:`neighbor`'s answers and bits.
+
+        One call charges all ``len(indices)`` queries, and 2 bits for
+        each index pair among them not exchanged before.
+        """
+        indices = list(map(int, indices))
+        if not self._bulk_ok(indices) or not self._is_node(v):
+            return super().neighbors(v, indices)
+        self.counter.charge("neighbor", len(indices))
+        side = self._side
+        part, pos = v
+        if part in (PART_A, PART_B):
+            fresh = {pos * side + j for j in indices if j < side}
+            row = slice(pos * side, (pos + 1) * side)
+        else:
+            fresh = {j * side + pos for j in indices if j < side}
+            row = slice(pos, None, side)
+        # Telemetry is off on this path, so the charges' order (their
+        # wire events' order) is not observable; only their number is.
+        fresh -= self._known
+        self._known |= fresh
+        self.ledger.charge_many(2, "localquery.reveal", fresh)
+        meets = np.logical_and(self._x[row], self._y[row]).tolist()
+        met, missed = _NEIGHBOR_PARTS[part]
+        return [
+            ((met if meets[j] else missed), j) if j < side else None
+            for j in indices
+        ]
 
     def adjacent(self, u: GxyNode, v: GxyNode) -> bool:
         """Pair query; costs 2 bits only when the answer is string-dependent."""

@@ -90,6 +90,10 @@ def estimate_min_cut(
         raise ParameterError(f"unknown variant {variant!r}")
     if not 0.0 < eps < 1.0:
         raise ParameterError("eps must be in (0, 1)")
+    if variant == "modified" and not 0.0 < search_accuracy < 1.0:
+        raise ParameterError("search_accuracy must be in (0, 1)")
+    if acceptance_gap is not None and not acceptance_gap >= 1:
+        raise ParameterError("acceptance_gap must be >= 1")
     gen = ensure_rng(rng)
 
     degrees = fetch_degrees(oracle)
@@ -130,8 +134,6 @@ def estimate_min_cut(
         )
 
     if acceptance_gap is not None:
-        if acceptance_gap < 1:
-            raise ParameterError("acceptance_gap must be >= 1")
         kappa = acceptance_gap
     else:
         kappa = _acceptance_gap(n, accuracy, constant)

@@ -17,7 +17,7 @@ experiments use for failure injection.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Dict, List, Optional
+from typing import Dict, Iterable, List, Optional
 
 from repro.errors import BudgetExceededError, OracleError
 from repro.graphs.ugraph import Node, UGraph
@@ -60,8 +60,8 @@ class QueryCounter:
         self._by_kind["neighbor"].inc(neighbor_queries)
         self._by_kind["pair"].inc(pair_queries)
 
-    def charge(self, kind: str) -> None:
-        """Count one query of ``kind``; unknown kinds raise OracleError.
+    def charge(self, kind: str, count: int = 1) -> None:
+        """Count ``count`` queries of ``kind``; unknown kinds raise OracleError.
 
         Mirrors the charge into the global ``oracle.query.<kind>``
         counter when telemetry is enabled.
@@ -69,9 +69,9 @@ class QueryCounter:
         counter = self._by_kind.get(kind)
         if counter is None:
             raise OracleError(f"unknown query kind {kind!r}")
-        counter.inc()
+        counter.inc(count)
         if _OBS.enabled:
-            _obs_count(f"oracle.query.{kind}")
+            _obs_count(f"oracle.query.{kind}", count)
 
     @property
     def degree_queries(self) -> int:
@@ -146,6 +146,27 @@ class LocalQueryOracle(ABC):
     def adjacent(self, u: Node, v: Node) -> bool:
         """Adjacency (pair) query."""
 
+    def neighbors(self, v: Node, indices: Iterable[int]) -> List[Optional[Node]]:
+        """One neighbor query per entry of ``indices``, answers in order.
+
+        This loop is the specification.  Subclasses may answer a whole
+        batch at once, but must leave every observable the loop leaves:
+        the answers, the tallies, any side accounting, and the point at
+        which a budget overrun or a bad argument raises, after the same
+        charges.  They may simply take the loop whenever a budget is
+        set or telemetry is on, where each query is its own event.
+        """
+        return [self.neighbor(v, int(index)) for index in indices]
+
+    def _bulk_ok(self, indices: List[int]) -> bool:
+        """Whether a batch may skip the loop: no budget, no telemetry,
+        and no negative index (whose error the loop raises mid-batch)."""
+        return (
+            self.budget is None
+            and not _OBS.enabled
+            and (not indices or min(indices) >= 0)
+        )
+
 
 class GraphOracle(LocalQueryOracle):
     """A counting oracle over a concrete unweighted graph.
@@ -191,6 +212,16 @@ class GraphOracle(LocalQueryOracle):
         if index >= len(order):
             return None
         return order[index]
+
+    def neighbors(self, v: Node, indices: Iterable[int]) -> List[Optional[Node]]:
+        """Bulk neighbor queries: one charge of ``len(indices)`` queries."""
+        indices = list(map(int, indices))
+        order = self._order.get(v)
+        if order is None or not self._bulk_ok(indices):
+            return super().neighbors(v, indices)
+        self.counter.charge("neighbor", len(indices))
+        size = len(order)
+        return [order[i] if i < size else None for i in indices]
 
     def adjacent(self, u: Node, v: Node) -> bool:
         self._charge("pair")

@@ -30,9 +30,12 @@ import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence
 
+import numpy as np
+
 from repro.errors import ParameterError
-from repro.graphs.mincut import stoer_wagner
-from repro.graphs.ugraph import Node, UGraph
+from repro.graphs.csr import CSRGraph
+from repro.graphs.mincut import snapshot_min_cut_value
+from repro.graphs.ugraph import Node
 from repro.localquery.oracle import LocalQueryOracle
 from repro.utils.rng import RngLike, ensure_rng
 
@@ -67,12 +70,17 @@ def verify_guess(
     rng: RngLike = None,
     constant: float = DEFAULT_SAMPLING_CONSTANT,
 ) -> VerifyGuessResult:
-    """One VERIFY-GUESS(D, t, eps) call; see module docstring."""
-    if t <= 0:
+    """One VERIFY-GUESS(D, t, eps) call; see module docstring.
+
+    ``degrees`` maps every vertex, in the order the slots are drawn;
+    each vertex's selected slots go to the oracle as one bulk
+    :meth:`~repro.localquery.oracle.LocalQueryOracle.neighbors` call.
+    """
+    if not t > 0:
         raise ParameterError("guess t must be positive")
     if not 0.0 < eps < 1.0:
         raise ParameterError("eps must be in (0, 1)")
-    if constant <= 0:
+    if not constant > 0:
         raise ParameterError("constant must be positive")
     gen = ensure_rng(rng)
     n = len(degrees)
@@ -82,29 +90,31 @@ def verify_guess(
     p = min(1.0, constant * math.log(max(n, 2)) / (eps * eps * t))
     q = 1.0 - math.sqrt(max(0.0, 1.0 - p))
 
+    index = {v: i for i, v in enumerate(degrees)}
+    tails: List[int] = []
+    heads: List[int] = []
     before = oracle.counter.neighbor_queries
-    edges = set()
-    for v, deg in degrees.items():
+    for i, (v, deg) in enumerate(degrees.items()):
         if deg == 0:
             continue
         selected = int(gen.binomial(deg, q))
         if selected == 0:
             continue
-        for index in gen.choice(deg, size=selected, replace=False):
-            u = oracle.neighbor(v, int(index))
-            if u is not None:
-                edges.add(frozenset((v, u)))
+        slots = gen.choice(deg, size=selected, replace=False).tolist()
+        answers = oracle.neighbors(v, slots)
+        try:
+            found = [index[u] for u in answers if u is not None]
+        except KeyError as missing:
+            raise ParameterError(
+                f"degrees has no entry for vertex {missing.args[0]!r}"
+            ) from None
+        tails.extend([i] * len(found))
+        heads.extend(found)
     neighbor_queries = oracle.counter.neighbor_queries - before
 
-    sample = UGraph(nodes=degrees.keys())
-    for edge in edges:
-        u, v = tuple(edge)
-        sample.add_edge(u, v, 1.0)
-
-    if sample.num_edges == 0 or not sample.is_connected():
-        k_hat = 0.0
-    else:
-        k_hat = stoer_wagner(sample)[0] / p
+    sample = _sample_snapshot(list(degrees), tails, heads)
+    value = snapshot_min_cut_value(sample)
+    k_hat = value / p if value > 0.0 else 0.0
 
     accepted = k_hat >= t / 2.0
     return VerifyGuessResult(
@@ -112,9 +122,29 @@ def verify_guess(
         accepted=accepted,
         estimate=k_hat if accepted else None,
         keep_prob=p,
-        sampled_edges=len(edges),
+        sampled_edges=sample.num_edges // 2,
         neighbor_queries=neighbor_queries,
     )
+
+
+def _sample_snapshot(
+    labels: List[Node], tails: List[int], heads: List[int]
+) -> CSRGraph:
+    """The sampled edges ``tails[k] -- heads[k]`` as one undirected snapshot.
+
+    Each edge is stored in both directions with weight 1.0, as
+    ``UGraph.freeze()`` stores it; an edge found from both endpoints is
+    kept once.  Rows are sorted by head, so the snapshot depends only on
+    the set of edges.
+    """
+    n = len(labels)
+    ends = np.array([tails, heads], dtype=np.int64)
+    keys = np.concatenate((ends[0] * n + ends[1], ends[1] * n + ends[0]))
+    keys.sort()
+    first = np.ones(keys.size, dtype=bool)
+    first[1:] = keys[1:] != keys[:-1]
+    keys = keys[first]
+    return CSRGraph(labels, keys // n, keys % n, np.ones(keys.size))
 
 
 def verify_guess_trials(

@@ -63,6 +63,16 @@ class TestEdgeDisjointPaths:
         """Menger counts edges, not weight — Section 5 is unweighted."""
         g = UGraph(edges=[("s", "t", 100.0)])
         assert edge_disjoint_path_count(g, "s", "t") == 1
+        assert g.freeze()._residual is None  # flows ran on a unit copy
+
+    def test_unit_graph_flows_on_its_own_snapshot(self):
+        """A unit-weight graph's cached snapshot is its unit view: every
+        count on the unchanged graph reuses one residual network."""
+        g = UGraph(edges=[("s", "a", 1.0), ("a", "t", 1.0),
+                          ("s", "b", 1.0), ("b", "t", 1.0)])
+        counts = [edge_disjoint_path_count(g, "s", v) for v in ("t", "a", "t")]
+        assert counts == [2, 2, 2]
+        assert g.freeze().residual_network().solves == 3
 
     def test_same_endpoints_raise(self):
         g = UGraph(edges=[("s", "t", 1.0)])

@@ -1,9 +1,11 @@
 """Tests for repro.graphs.mincut: Stoer–Wagner, Karger, directed min cut."""
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import obs
 from repro.errors import GraphError
 from repro.graphs.cuts import brute_force_directed_min_cut, brute_force_min_cut
 from repro.graphs.digraph import DiGraph
@@ -12,13 +14,53 @@ from repro.graphs.generators import (
     random_balanced_digraph,
     random_connected_ugraph,
 )
+from repro.graphs.maxflow import max_flow
 from repro.graphs.mincut import (
     directed_global_min_cut,
     karger_min_cut,
     sample_near_min_cuts,
+    snapshot_min_cut_value,
     stoer_wagner,
 )
 from repro.graphs.ugraph import UGraph
+from repro.kernels import available_backends, using_backend
+from repro.obs.sink import ListSink
+
+
+def per_flow_directed_min_cut(graph):
+    """``directed_global_min_cut`` as it was: one ``max_flow`` call, and
+    one source side, per solve."""
+    nodes = graph.nodes()
+    root = nodes[0]
+    best_value = float("inf")
+    best_side = frozenset()
+    for other in nodes[1:]:
+        fwd = max_flow(graph, root, other)
+        if fwd.value < best_value:
+            best_value = fwd.value
+            best_side = fwd.source_side
+        bwd = max_flow(graph, other, root)
+        if bwd.value < best_value:
+            best_value = bwd.value
+            best_side = bwd.source_side
+    return best_value, best_side
+
+
+@st.composite
+def _tied_digraphs(draw):
+    """Digraphs on 2–10 shuffled labels with weights in {1, 2}, so many
+    cuts tie for the minimum; some have a dangling node (minimum 0)."""
+    n = draw(st.integers(2, 10))
+    labels = draw(st.permutations([f"v{i}" for i in range(n)]))
+    g = DiGraph(nodes=labels)
+    for i in range(n):
+        if draw(st.booleans()) or i + 1 < n:
+            g.add_edge(labels[i], labels[(i + 1) % n], float(draw(st.integers(1, 2))))
+    for _ in range(draw(st.integers(0, 2 * n))):
+        u, v = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        if u != v:
+            g.add_edge(labels[u], labels[v], float(draw(st.integers(1, 2))), combine="set")
+    return g
 
 
 class TestStoerWagner:
@@ -37,6 +79,27 @@ class TestStoerWagner:
         g = UGraph(edges=[("a", "b", 4.5)])
         value, _ = stoer_wagner(g)
         assert value == 4.5
+
+    @given(
+        st.integers(2, 14),
+        st.sampled_from([0.0, 0.15, 0.4, 1.0]),
+        st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_snapshot_value_is_zero_exactly_when_disconnected(self, n, density, seed):
+        """The kernel alone returns exactly stoer_wagner's value, 0.0 on
+        a disconnected graph, with no component check of its own."""
+        rng = np.random.default_rng(seed)
+        g = UGraph(nodes=range(n))
+        for i in range(n):
+            for j in range(i + 1, n):
+                if rng.random() < density:
+                    g.add_edge(i, j, float(rng.integers(1, 4)))
+        expected = stoer_wagner(g)[0]
+        assert (expected == 0.0) == (not g.is_connected())
+        for name in available_backends():
+            with using_backend(name):
+                assert snapshot_min_cut_value(g.freeze()) == expected
 
     def test_nan_edge_cannot_reach_the_solver(self):
         """On the path 0-1-2 with NaN on 0-1 the solver answered (1.0, {2}),
@@ -155,3 +218,22 @@ class TestDirectedGlobalMinCut:
     def test_too_small_raises(self):
         with pytest.raises(GraphError):
             directed_global_min_cut(DiGraph(nodes=["a"]))
+
+    def test_records_per_flow_counters(self):
+        g = random_balanced_digraph(5, beta=2.0, density=0.5, rng=1)
+        obs.reset_metrics()
+        with obs.enabled(ListSink()):
+            directed_global_min_cut(g)
+        snap = obs.snapshot()
+        obs.reset_metrics()
+        assert snap["maxflow.calls.csr"] == 8
+        assert snap["csr.maxflow.calls"] == 8
+        assert snap["csr.maxflow.phases.count"] == 8
+
+    @given(_tied_digraphs())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_per_flow_loop_on_ties(self, g):
+        expected = per_flow_directed_min_cut(g)
+        for name in available_backends():
+            with using_backend(name):
+                assert directed_global_min_cut(g) == expected

@@ -63,6 +63,29 @@ class TestVerifyGuess:
         with pytest.raises(ParameterError):
             verify_guess(oracle, degrees, t=1, eps=0.3, constant=0)
 
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"t": float("nan")}, "guess t"),
+            ({"t": 1.0, "constant": float("nan")}, "constant"),
+        ],
+    )
+    def test_nan_params_rejected_before_any_query(self, planted, kwargs, name):
+        g, _ = planted
+        oracle = GraphOracle(g)
+        degrees = fetch_degrees(oracle)
+        with pytest.raises(ParameterError, match=name):
+            verify_guess(oracle, degrees, eps=0.3, rng=0, **kwargs)
+        assert oracle.counter.neighbor_queries == 0
+
+    def test_degree_map_must_cover_the_answers(self, planted):
+        g, _ = planted
+        oracle = GraphOracle(g)
+        degrees = fetch_degrees(oracle)
+        del degrees[g.nodes()[-1]]
+        with pytest.raises(ParameterError, match="no entry for vertex"):
+            verify_guess(oracle, degrees, t=1.0, eps=0.3, rng=0)
+
     def test_degree_map_required_nonempty(self):
         g = UGraph(nodes=["a"])
         oracle = GraphOracle(g)
@@ -110,6 +133,31 @@ class TestEstimateMinCut:
             estimate_min_cut(oracle, eps=0.0)
         with pytest.raises(ParameterError):
             estimate_min_cut(oracle, eps=0.2, variant="bogus")
+
+    @pytest.mark.parametrize(
+        "kwargs, name",
+        [
+            ({"search_accuracy": 0.0}, "search_accuracy"),
+            ({"search_accuracy": float("nan")}, "search_accuracy"),
+            ({"search_accuracy": 5.0}, "search_accuracy"),
+            ({"acceptance_gap": float("nan")}, "acceptance_gap"),
+            ({"acceptance_gap": 0.5}, "acceptance_gap"),
+        ],
+    )
+    def test_bad_params_named_before_any_query(self, planted, kwargs, name):
+        g, _ = planted
+        oracle = GraphOracle(g)
+        with pytest.raises(ParameterError, match=name):
+            estimate_min_cut(oracle, eps=0.25, rng=0, **kwargs)
+        assert oracle.counter.total == 0
+
+    def test_search_accuracy_unused_by_naive_variant(self, planted):
+        g, _ = planted
+        oracle = GraphOracle(g)
+        estimate = estimate_min_cut(
+            oracle, eps=0.25, rng=0, variant="naive", search_accuracy=5.0
+        )
+        assert estimate.variant == "naive"
 
     def test_modified_never_slower_at_small_eps(self):
         """The Section 5.4 ablation in miniature: at small eps the
