@@ -1,8 +1,7 @@
 # Convenience targets for the reproduction repository.
 
 .PHONY: install test perfbench digest tables trace-report api all \
-	bounds-check dashboard wire-check obs-commit obs-diff obs-fsck \
-	obs-watch slo-check memory-check serve
+	bounds-check wire-check obs-watch slo-check memory-check serve
 
 install:
 	pip install -e . || python setup.py develop
@@ -46,20 +45,6 @@ wire-check:
 		PYTHONPATH=src python scripts/wire_replay.py verify wire-check.capture.jsonl \
 			|| { rm -f wire-check.capture.jsonl; exit 1; }; \
 	done; rm -f wire-check.capture.jsonl
-
-dashboard:
-	PYTHONPATH=src python scripts/obs_db.py ingest --telemetry telemetry.jsonl
-	PYTHONPATH=src python scripts/obs_dashboard.py
-
-obs-commit:
-	PYTHONPATH=src python -m repro.experiments.run_all \
-		--telemetry telemetry.jsonl --capture-wire --commit-run
-
-obs-diff:
-	PYTHONPATH=src python scripts/obs_store.py diff HEAD~1 HEAD
-
-obs-fsck:
-	PYTHONPATH=src python scripts/obs_store.py fsck
 
 obs-watch:
 	PYTHONPATH=src python scripts/obs_watch.py --follow live.jsonl

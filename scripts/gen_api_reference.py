@@ -3,7 +3,7 @@
 
 Usage: ``python scripts/gen_api_reference.py`` from the repository root.
 Kept as a checked-in script so the reference never drifts from the code:
-CI (or a pre-release checklist) can re-run it and diff.
+CI's lint job re-runs it and fails when ``docs/API.md`` differs.
 """
 
 from __future__ import annotations
@@ -11,6 +11,10 @@ from __future__ import annotations
 import importlib
 import inspect
 import os
+import sys
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 #: Hand-written prose inserted after a package's generated table.
 EXTRA_SECTIONS = {
@@ -132,16 +136,6 @@ measured bytes against the Thm 1.1/1.2/1.3 envelopes
 `start()`, and CI's digest matrix checks that `run_all --memory` prints
 identical stdout at jobs 1 and 2.
 
-### Cross-run observatory
-
-`scripts/obs_db.py ingest` condenses a `telemetry.jsonl` plus the
-`BENCH_*.json` gate reports into one append-only record in
-`.obs/history.jsonl`; `scripts/obs_dashboard.py` renders the history as
-a static dashboard (`.obs/dashboard.{md,html}`, `make dashboard`):
-measured-vs-envelope curves (bits vs ε, queries vs ε and k), the latest
-run's bound-check verdicts, span wall-time trends per ingested run, and
-a regression verdict comparing the last two runs.
-
 ### Wire capture (`repro.obs.capture`)
 
 `WireCapture` records every message crossing an instrumented path as a
@@ -187,9 +181,8 @@ takes the experiment down.
 `SloRule` states one objective in measured terms; `parse_spec` reads a
 compact `;`-separated grammar (or a JSON rule file):
 `metric:NAME<=V`, `span:PATH:pNN<=SECONDS`, `bound:SPEC>=FLOOR`
-(`bound:*` expands over every registered bound spec),
-`baseline:metric:NAME<=FACTORx@REV` (threshold resolved from a commit
-in the experiment store), and `stall:SECONDS` (worker heartbeat age).
+(`bound:*` expands over every registered bound spec), and
+`stall:SECONDS` (worker heartbeat age).
 `SloEngine` subscribes to the live bus, evaluates per window on every
 `live.tick`, emits one `slo.violation` event per breached
 `(rule, subject)`, and breaches immediately on an actual `bound_check`
@@ -222,54 +215,6 @@ write an invalid trace); `collapsed_stacks(events)` folds `profile`
 events into collapsed-stack lines (`span;path;func microseconds`) for
 standard flamegraph tooling.  `scripts/wire_report.py` drives both
 (`--trace`, `--flame`) plus a terminal message-lane diagram.
-""",
-    "repro.obs.store": """\
-### Content-addressed experiment store
-
-A git-like store (default root `.obs/store`, `scripts/obs_store.py
-init`) that versions whole experiment runs instead of source files.
-
-**Object model.**  Every artifact is an immutable zlib-compressed
-object at `objects/<2-hex>/<62-hex>`, addressed by the SHA-256 of a
-`"<kind> <size>\\0" + body` framing — identical content always
-deduplicates to one object.  Three kinds: *blobs* (raw artifact bytes:
-`telemetry.jsonl`, `wire.capture.jsonl`, `BENCH_*.json`, the derived
-`bounds.json` summary), *trees* (a sorted name → (blob, role) listing;
-roles are `telemetry` / `capture` / `bench` / `bounds` / `legacy` /
-`artifact`), and *commits* (tree + parent oids + message, author,
-timestamp, and a free-form `meta` dict — `run_all` stamps the
-experiment list, kernel backend, and bound-check tally there).  Tree
-and commit bodies are canonical JSON, so logically equal snapshots
-hash identically.
-
-**Ref layout.**  `refs/heads/<branch>` and `refs/tags/<tag>` hold one
-commit oid each; `HEAD` is either symbolic (`ref: refs/heads/main`) or
-a detached oid; every ref move appends to a JSONL `reflog`.  Branches
-name experiment lines (`lines/kernels`, `lines/legacy`, ...) — a
-commit onto a new branch starts an independent, parentless line.
-Revisions resolve as `HEAD`, `HEAD~N`, branch, tag, or a unique hex
-prefix (≥ 4 chars).
-
-**Producing commits.**  `run_all --commit-run[=BRANCH]` snapshots the
-run it just finished (exit 5 if the store write fails);
-`obs_store.py commit` snapshots artifact files after the fact;
-`obs_store.py migrate` replays the flat `.obs/history.jsonl` era onto
-`lines/legacy` and round-trip-verifies every record.
-
-**Consuming commits.**  `diff_commits` classifies every metric total
-(IMPROVED / REGRESSED / NEUTRAL around a relative threshold), flags
-span wall-time ratios, compares bench gates, and pinpoints the first
-diverging wire message; `fsck` re-hashes every object and validates
-trees, refs, and the reflog; `ExperimentStore.checkout` extracts a
-commit's artifacts for ad-hoc tooling.
-
-**Bisect workflow.**  `obs_store.py bisect --good REV --bad REV
---metric NAME` (or `--gate BENCH_X.json`) binary-searches the
-first-parent chain for the first commit whose value regressed past the
-threshold, after sanity-checking both endpoints.  Each probed commit's
-cached wire transcript is replayed first (`repro.obs.replay`) and the
-bisection aborts loudly if a recorded transcript no longer reproduces
-— a bisection over lying evidence would point at the wrong commit.
 """,
     "repro.kernels": """\
 ### Kernel backends
@@ -346,7 +291,7 @@ _SERVING_EXTRA = """\
 `python -m repro.serving.server --port 0` boots a long-lived asyncio
 daemon announcing its bound endpoint on stderr (`serving: tcp://...`,
 parsed race-free by `repro.obs.announce.read_announcement`).  It holds
-frozen `CSRGraph` snapshots content-addressed by their store oid in a
+frozen `CSRGraph` snapshots content-addressed by their graph oid in a
 measured-bytes LRU (`SnapshotCache`), coalesces concurrent
 `serve.cut_weight` requests into vectorized `cut_weights_stable` calls
 (`MicroBatcher`: row-count, depth-stable probe, and window triggers),
@@ -365,7 +310,6 @@ PACKAGES = [
     "repro.graphs",
     "repro.kernels",
     "repro.obs",
-    "repro.obs.store",
     "repro.linalg",
     "repro.comm",
     "repro.sketch",

@@ -68,8 +68,8 @@ class Table:
 
     ``meta`` holds sweep-constant construction parameters (``n``, ``m``,
     ``beta``, ``k``, ...) that are not printed columns but are needed by
-    bound certification and by the cross-run dashboard; it rides along
-    on every ``row`` telemetry event.  ``bounds`` names the registered
+    bound certification; it rides along on every ``row`` telemetry
+    event.  ``bounds`` names the registered
     :class:`repro.obs.bounds.BoundSpec` entries each row is checked
     against (entries may be ``(name, {"sweep": "k"})`` to override the
     exponent-fit sweep variable for this table).

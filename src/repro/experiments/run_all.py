@@ -51,15 +51,6 @@ for the hot loops (Dinic, contraction, Lemma 3.2 products); see
 stdout — and therefore any digest of the tables — is identical across
 backends.
 
-``--commit-run`` snapshots the run's artifacts (telemetry, wire
-capture when ``--capture-wire`` is on, and a bound-check summary) into
-the versioned experiment store at ``--store`` (default ``.obs/store``)
-after the run completes.  The bare flag commits to the store's
-checked-out branch; ``--commit-run=lines/kernels`` names one (the
-``=`` form is required when experiment ids follow on the command line).
-Inspect history with ``scripts/obs_store.py`` (log / diff / bisect /
-fsck).
-
 ``--slo[=SPEC]`` attaches the live SLO engine (:mod:`repro.obs.slo`):
 a :mod:`repro.obs.live` bus is installed for the run, every telemetry
 event is teed onto it, parallel workers stream heartbeat delta
@@ -73,12 +64,17 @@ and ``--live-port N`` serves Prometheus text at
 ``scripts/obs_watch.py`` tails.  All live status output goes to
 stderr, so stdout digests are unaffected.
 
+The runner keeps no run history.  Speed history is perfbench's
+``--record`` JSONL, read by ``perfbench/compare.py``; output equality
+is git plus CI's ``digest-parity`` job, which compares this stdout on
+the base commit and on the change.
+
 Exit codes: 0 success; 1 an experiment raised; 2 bound violation under
 ``--strict-bounds``; 3 telemetry sink failure (could not open, or
 writing failed mid-run); 4 explicitly requested kernel backend
-unavailable; 5 ``--commit-run`` could not commit the run into the
-experiment store (or a baseline SLO rule could not resolve its
-reference from the store); 6 an SLO rule breached under ``--slo``.
+unavailable; 6 an SLO rule breached under ``--slo``; 7 the ``--serve``
+smoke's served responses diverged from direct evaluation.  Code 5 is
+unused.
 """
 
 from __future__ import annotations
@@ -117,9 +113,6 @@ EXIT_BOUND_VIOLATION = 2
 EXIT_TELEMETRY_FAILURE = 3
 #: Exit code for an explicitly requested kernel backend that cannot load.
 EXIT_KERNELS_UNAVAILABLE = 4
-#: Exit code for a failed --commit-run store commit (also: a baseline
-#: SLO rule whose reference could not resolve from the store).
-EXIT_STORE_FAILURE = 5
 #: Exit code for an SLO breach under ``--slo``.
 EXIT_SLO_BREACH = 6
 #: Exit code for a ``--serve`` smoke whose served responses diverge
@@ -292,24 +285,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "(default: %(default)s)",
     )
     parser.add_argument(
-        "--commit-run",
-        nargs="?",
-        const="",
-        default=None,
-        metavar="BRANCH",
-        help="after the run, commit its artifacts (telemetry, wire "
-        "capture, bound summary) into the experiment store; the bare "
-        "flag uses the checked-out branch, --commit-run=BRANCH names "
-        "one (use the '=' form when experiment ids follow)",
-    )
-    parser.add_argument(
-        "--store",
-        metavar="DIR",
-        default=None,
-        help="experiment store root for --commit-run "
-        "(default: .obs/store)",
-    )
-    parser.add_argument(
         "--slo",
         nargs="?",
         const="",
@@ -318,10 +293,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="evaluate SLO rules live and exit "
         f"{EXIT_SLO_BREACH} on breach.  SPEC is ';'-separated clauses "
         "(metric:NAME<=V, span:PATH:p99<=SECONDS, bound:SPEC>=FLOOR, "
-        "baseline:metric:NAME<=FACTORx@REV, stall:SECONDS) or a JSON "
-        "rule file; the bare flag installs a margin floor of 1.0 on "
-        "every registered bound plus a 30s stall rule (use the '=' "
-        "form when experiment ids follow)",
+        "stall:SECONDS) or a JSON rule file; the bare flag installs a "
+        "margin floor of 1.0 on every registered bound plus a 30s "
+        "stall rule (use the '=' form when experiment ids follow)",
     )
     parser.add_argument(
         "--live-export",
@@ -360,12 +334,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.memory is not None and args.memory not in obs_memory.MODES:
         parser.error(
             f"--memory must be one of {obs_memory.MODES}, got {args.memory!r}"
-        )
-
-    if args.commit_run is not None and args.no_telemetry:
-        parser.error(
-            "--commit-run needs the telemetry stream; "
-            "drop --no-telemetry"
         )
 
     if args.list:
@@ -483,15 +451,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             except obs_slo.SloError as exc:
                 _setup_abort()
                 parser.error(str(exc))
-            engine = obs_slo.SloEngine(
-                rules, aggregator=aggregator, store_root=args.store
-            ).attach(bus)
-            try:
-                engine.resolve_baselines()
-            except obs_slo.SloError as exc:
-                print(f"error: {exc}", file=sys.stderr)
-                _setup_abort()
-                return EXIT_STORE_FAILURE
+            engine = obs_slo.SloEngine(rules, aggregator=aggregator).attach(bus)
             for rule in engine.rules:
                 print(f"slo rule: {rule.describe()}", file=sys.stderr)
         if args.live_export is not None:
@@ -694,53 +654,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             )
             return EXIT_TELEMETRY_FAILURE
         print(f"\ntelemetry written to {args.telemetry}")
-
-    if args.commit_run is not None:
-        # Imported here, not at module scope: the store package pulls in
-        # repro.obs.report, which imports the harness, which imports
-        # repro.obs — fine at call time, a cycle at import time.
-        from repro.obs.store import (
-            DEFAULT_STORE,
-            ExperimentStore,
-            StoreError,
-            collect_run_files,
-            short_oid,
-        )
-
-        store_root = args.store or DEFAULT_STORE
-        try:
-            store = ExperimentStore.init(store_root)
-            files = collect_run_files(
-                telemetry_path=args.telemetry,
-                capture_path=(
-                    args.capture_path if capture is not None else None
-                ),
-            )
-            oid = store.commit_artifacts(
-                files,
-                message=f"run_all {' '.join(chosen)}",
-                branch=args.commit_run or None,
-                meta={
-                    "run": "run_all",
-                    "experiments": chosen,
-                    "kernels": f"{backend.name} ({backend.source})",
-                    "jobs": args.jobs,
-                    "bound_checks": len(monitor.checks),
-                    "bound_violations": len(monitor.violations),
-                },
-            )
-        except (StoreError, OSError) as exc:
-            print(
-                f"error: could not commit the run into the experiment "
-                f"store at {os.path.abspath(store_root)}: {exc}",
-                file=sys.stderr,
-            )
-            return EXIT_STORE_FAILURE
-        branch = args.commit_run or store.refs.current_branch()
-        print(
-            f"run committed to {store_root}: "
-            f"[{branch} {short_oid(oid)}] {len(files)} artifact(s)"
-        )
 
     if args.strict_bounds and monitor.violations:
         print(

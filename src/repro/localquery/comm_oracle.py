@@ -64,8 +64,9 @@ class CommOracle(LocalQueryOracle):
 
     def __init__(self, x: BitString, y: BitString, budget: Optional[int] = None):
         super().__init__(budget=budget)
-        x = np.asarray(x, dtype=np.int8)
-        y = np.asarray(y, dtype=np.int8)
+        # Copies: a caller mutating its strings must not change answers.
+        x = np.array(x, dtype=np.int8)
+        y = np.array(y, dtype=np.int8)
         if x.shape != y.shape or x.ndim != 1:
             raise ParameterError("x and y must be 1-D strings of equal length")
         side = int(math.isqrt(x.shape[0]))

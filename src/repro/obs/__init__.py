@@ -39,9 +39,8 @@ round trips).  Three pieces:
   :class:`~repro.obs.bounds.SpaceBoundSpec` companions
   (``run_all --memory``);
 * :mod:`repro.obs.slo` — declarative SLO rules (metric thresholds,
-  span-latency ceilings, bound-slack floors, baseline-relative rules
-  resolved from a store commit, worker-stall alerts, measured-memory
-  ``mem:``/``rss:`` ceilings) evaluated live, emitting
+  span-latency ceilings, bound-slack floors, worker-stall alerts,
+  measured-memory ``mem:``/``rss:`` ceilings) evaluated live, emitting
   ``slo.violation`` events (``run_all --slo`` exits 6);
 * :mod:`repro.obs.exporters` — Prometheus-text HTTP endpoint and
   streaming JSONL export feeding ``scripts/obs_watch.py``.

@@ -319,7 +319,7 @@ class JsonlExporter:
     ):
         self.path = str(path)
         self.aggregator = aggregator
-        self._sink = JsonlSink(self.path, mode="w", flush_every=flush_every)
+        self._sink = JsonlSink(self.path, flush_every=flush_every)
 
     def attach(self, bus: LiveBus) -> "JsonlExporter":
         bus.subscribe(self.on_record)

@@ -33,15 +33,14 @@ def _jsonable(value: Any) -> Any:
 
 
 class JsonlSink:
-    """Append telemetry records to a JSONL file, one object per line.
+    """Write telemetry records to a JSONL file, one object per line.
 
-    ``mode="w"`` truncates an existing file; ``mode="a"`` appends to it
-    (the run-history database in ``.obs/`` relies on append semantics).
-    A mid-run disk failure must not take the experiment down with it:
-    the first :class:`OSError` from a write is remembered in
-    :attr:`error`, the file is closed, and every later record is
-    dropped — ``run_all`` inspects :attr:`error` at the end of the run
-    and turns it into a distinct exit code.
+    Opening truncates an existing file.  A mid-run disk failure must
+    not take the experiment down with it: the first :class:`OSError`
+    from a write is remembered in :attr:`error`, the file is closed,
+    and every later record is dropped — ``run_all`` inspects
+    :attr:`error` at the end of the run and turns it into a distinct
+    exit code.
 
     ``flush_every=N`` flushes the file every N records so a live tail
     (``scripts/obs_watch.py``, ``tail -f``) sees events promptly instead
@@ -52,7 +51,6 @@ class JsonlSink:
     def __init__(
         self,
         path: Union[str, os.PathLike],
-        mode: str = "w",
         flush_every: Optional[int] = None,
     ):
         if flush_every is not None and flush_every <= 0:
@@ -63,7 +61,7 @@ class JsonlSink:
         self.flush_every = flush_every
         self.error: Optional[OSError] = None
         self._unflushed = 0
-        self._fh: Optional[TextIO] = open(self.path, mode)
+        self._fh: Optional[TextIO] = open(self.path, "w")
 
     def write(self, record: Dict[str, Any]) -> None:
         """Serialize one record; closed or failed sinks drop silently."""
@@ -149,7 +147,7 @@ class RotatingJsonlSink(JsonlSink):
         #: Completed rotations (telemetry / tests).
         self.rotations = 0
         self._bytes = 0
-        super().__init__(path, mode="w", flush_every=flush_every)
+        super().__init__(path, flush_every=flush_every)
 
     def write(self, record: Dict[str, Any]) -> None:
         if self._fh is None:

@@ -23,11 +23,6 @@ Rule kinds:
     envelope is actually crossed): ``bound:thm13.queries>=1.0``, or
     ``bound:*>=1.0`` for every registered spec.  An actual
     ``bound_check`` violation event always breaches immediately.
-``baseline``
-    Threshold resolved from a committed run in the experiment store
-    (:mod:`repro.obs.store`): ``baseline:metric:comm.wire_bits<=1.10x@HEAD``
-    breaches when the live total exceeds 1.10x the total recorded in
-    the telemetry of the commit ``HEAD`` resolves to.
 ``stall``
     Worker-liveness: breaches when any parallel worker's heartbeat is
     older than the threshold — ``stall:5`` — firing *before* the pool's
@@ -56,7 +51,7 @@ from __future__ import annotations
 import json
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Mapping, Optional, Sequence
 
 from repro.errors import ObsError
@@ -65,7 +60,7 @@ from repro.obs import sink as _sink
 from repro.obs.live import LiveAggregator, LiveBus
 
 #: Recognised rule kinds.
-KINDS = ("metric", "span", "bound", "baseline", "stall", "mem", "rss")
+KINDS = ("metric", "span", "bound", "stall", "mem", "rss")
 
 #: Comparison operators a rule may use.
 OPS = ("<=", ">=")
@@ -79,7 +74,7 @@ DEFAULT_SERVING_P99_S = 0.25
 
 
 class SloError(ObsError):
-    """An SLO spec failed to parse or a baseline failed to resolve."""
+    """An SLO spec failed to parse."""
 
 
 @dataclass
@@ -93,11 +88,6 @@ class SloRule:
     threshold: float
     #: Latency quantile for ``span`` rules (0 < q <= 1).
     quantile: Optional[float] = None
-    #: Baseline multiplier and revision for ``baseline`` rules.
-    factor: Optional[float] = None
-    rev: Optional[str] = None
-    #: Filled by :meth:`SloEngine.resolve_baselines`.
-    resolved: Dict[str, Any] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
@@ -111,11 +101,6 @@ class SloRule:
                 raise SloError(
                     f"span quantile must be in (0, 1], got {self.quantile!r}"
                 )
-        if self.kind == "baseline" and (self.factor is None or not self.rev):
-            raise SloError(
-                "baseline rules need a factor and a revision "
-                "(e.g. baseline:metric:comm.wire_bits<=1.10x@HEAD)"
-            )
 
     def describe(self) -> str:
         """One-line human rendering (run_all and obs_watch print these)."""
@@ -135,11 +120,6 @@ class SloRule:
             return (
                 f"{self.name}: span {self.target} "
                 f"p{int(round(self.quantile * 100))} {self.op} {self.threshold}s"
-            )
-        if self.kind == "baseline":
-            return (
-                f"{self.name}: metric {self.target} {self.op} "
-                f"{self.factor}x @{self.rev}"
             )
         return f"{self.name}: {self.kind} {self.target} {self.op} {self.threshold}"
 
@@ -238,29 +218,6 @@ def _parse_clause(clause: str) -> SloRule:
             op=op,
             threshold=_parse_threshold(rhs.strip(), clause),
         )
-    if kind == "baseline":
-        inner = body.strip()
-        if inner.startswith("metric:"):
-            inner = inner[len("metric:"):]
-        lhs, op, rhs = _split_op(inner, clause)
-        factor_text, at, rev = rhs.partition("@")
-        factor_text = factor_text.strip()
-        if factor_text.endswith("x"):
-            factor_text = factor_text[:-1]
-        if not at or not rev.strip():
-            raise SloError(
-                f"baseline clause {clause!r} must name a revision, "
-                "e.g. baseline:metric:comm.wire_bits<=1.10x@HEAD"
-            )
-        return SloRule(
-            name=clause.strip(),
-            kind="baseline",
-            target=lhs.strip(),
-            op=op,
-            threshold=float("nan"),  # resolved against the store later
-            factor=_parse_threshold(factor_text, clause),
-            rev=rev.strip(),
-        )
     raise SloError(f"unknown SLO rule kind {kind!r}; kinds: {KINDS}")
 
 
@@ -270,12 +227,11 @@ def parse_spec(spec: str) -> List[SloRule]:
     Inline form: ``;``-separated clauses, e.g. ::
 
         metric:oracle.query.neighbor<=50000;span:experiment.e3:p99<=2.0;
-        bound:*>=1.0;baseline:metric:comm.wire_bits<=1.10x@HEAD;stall:5
+        bound:*>=1.0;stall:5
 
     If ``spec`` names an existing file it is read as JSON: a list of
     objects with :class:`SloRule` field names (``kind``, ``target``,
-    ``op``, ``threshold``, optional ``name`` / ``quantile`` /
-    ``factor`` / ``rev``).
+    ``op``, ``threshold``, optional ``name`` / ``quantile``).
     """
     spec = spec.strip()
     if not spec:
@@ -392,13 +348,11 @@ class SloEngine:
         self,
         rules: Sequence[SloRule],
         aggregator: Optional[LiveAggregator] = None,
-        store_root: Optional[str] = None,
         eval_interval_s: float = 0.5,
     ):
         self.rules = list(rules)
         self.aggregator = aggregator or LiveAggregator()
         self._owns_aggregator = aggregator is None
-        self.store_root = store_root
         self.eval_interval_s = float(eval_interval_s)
         #: First breach record per (rule name, subject) key.
         self.breaches: Dict[tuple, Dict[str, Any]] = {}
@@ -416,51 +370,6 @@ class SloEngine:
         bus.unsubscribe(self.on_record)
         if self._owns_aggregator:
             self.aggregator.detach(bus)
-
-    def resolve_baselines(self) -> None:
-        """Resolve every baseline rule's threshold from the store.
-
-        Loud by design: a missing store, unknown revision, or a commit
-        whose telemetry never recorded the metric raises
-        :class:`SloError` — a baseline rule silently skipped would
-        report "no breach" while checking nothing.
-        """
-        baseline_rules = [r for r in self.rules if r.kind == "baseline"]
-        if not baseline_rules:
-            return
-        # Imported lazily: the store package pulls in repro.obs.report,
-        # which imports the harness — a cycle at module-import time.
-        from repro.obs.store import DEFAULT_STORE, ExperimentStore, StoreError
-        from repro.obs.store.diff import commit_metric_value
-
-        root = self.store_root or DEFAULT_STORE
-        if not ExperimentStore.is_store(root):
-            raise SloError(
-                f"baseline SLO rules need an experiment store at {root!r} "
-                "(create one with run_all --commit-run)"
-            )
-        store = ExperimentStore.open(root)
-        for rule in baseline_rules:
-            try:
-                oid = store.resolve(rule.rev)
-            except StoreError as exc:
-                raise SloError(
-                    f"cannot resolve baseline revision {rule.rev!r} "
-                    f"for rule {rule.name!r}: {exc}"
-                ) from exc
-            reference = commit_metric_value(store, oid, rule.target)
-            if reference is None:
-                raise SloError(
-                    f"commit {oid[:10]} has no metric {rule.target!r} "
-                    f"for baseline rule {rule.name!r}"
-                )
-            rule.threshold = reference * rule.factor
-            rule.resolved = {
-                "commit": oid,
-                "rev": rule.rev,
-                "reference": reference,
-                "factor": rule.factor,
-            }
 
     # -- event handling -------------------------------------------------
 
@@ -515,18 +424,6 @@ class SloEngine:
             if value is None or _compare(value, rule.op, rule.threshold):
                 return []
             return self._breach(rule, subject=rule.target, value=value)
-        if rule.kind == "baseline":
-            if rule.threshold != rule.threshold:  # NaN: never resolved
-                return []
-            value = self._metric_value(rule.target)
-            if value is None or _compare(value, rule.op, rule.threshold):
-                return []
-            return self._breach(
-                rule,
-                subject=rule.target,
-                value=value,
-                detail=dict(rule.resolved),
-            )
         if rule.kind == "span":
             value = self.aggregator.span_quantile(
                 rule.target, rule.quantile, now

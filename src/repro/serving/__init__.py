@@ -11,7 +11,7 @@ socket:
   canonical-JSON payloads and SHA-256 digests, mapping 1:1 onto the
   :class:`repro.obs.capture.WireMessage` fields so served traffic
   lands in the same transcripts as every other wire byte;
-* :mod:`repro.serving.cache` — content-addressed (store-oid) snapshot
+* :mod:`repro.serving.cache` — content-addressed (graph-oid) snapshot
   cache, LRU-bounded by measured bytes, holding frozen
   :class:`~repro.graphs.csr.CSRGraph` snapshots plus per-graph sketch
   and shard state;

@@ -1,9 +1,9 @@
 """Content-addressed snapshot + sketch cache for the serving daemon.
 
-Registered graphs are keyed by their store oid
-(:func:`repro.serving.protocol.graph_oid` — the same ``blob`` content
-address the PR 7 experiment store uses), so re-registering an identical
-graph, from any client, lands on the same entry.  Each
+Registered graphs are keyed by their graph oid
+(:func:`repro.serving.protocol.graph_oid`, a content address of the
+payload), so re-registering an identical graph, from any client, lands
+on the same entry.  Each
 :class:`SnapshotEntry` holds the mutable graph (for exact min-cut and
 shard queries), its frozen :class:`~repro.graphs.csr.CSRGraph`
 snapshot (what the batched cut kernels run on), and lazily built

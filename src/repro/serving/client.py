@@ -14,7 +14,7 @@ one connection — the traffic shape the server's micro-batcher exists
 to coalesce.
 
 Registration is content-addressed end to end: the client canonicalises
-the graph payload, computes its store oid locally, and keeps the
+the graph payload, computes its graph oid locally, and keeps the
 node -> index interning so later cut queries ship packed membership
 masks (n/8 bytes) instead of label lists.
 """

@@ -21,9 +21,9 @@ Graphs cross the wire as ordered node/edge lists
 is preserved end to end, so the CSR snapshot the server freezes interns
 nodes and lays out edge arrays identically to the client's own — the
 precondition for byte-identical cut values.  :func:`graph_oid`
-content-addresses that payload through the experiment store's object
-hasher, so a graph registered twice (or by two clients) is one cache
-entry.  Cut sides travel as packed little-bit-order membership masks
+content-addresses that payload (SHA-256 over git's blob framing), so a
+graph registered twice (or by two clients) is one cache entry.  Cut
+sides travel as packed little-bit-order membership masks
 (:func:`side_mask`), n/8 bytes instead of a label list.
 """
 
@@ -45,7 +45,6 @@ from repro.graphs.ugraph import UGraph
 from repro.obs import capture as _capture
 from repro.obs import live as _live
 from repro.obs.core import STATE as _OBS
-from repro.obs.store.objects import hash_object
 
 #: Frames larger than this are refused on both ends (a length prefix
 #: must never become an allocation oracle).
@@ -335,15 +334,14 @@ def graph_from_payload(payload: Dict[str, Any]):
 
 
 def graph_oid(payload: Dict[str, Any]) -> str:
-    """Content address of a graph payload (experiment-store framing).
+    """Content address of a graph payload.
 
-    Hashes the canonical JSON through
-    :func:`repro.obs.store.objects.hash_object`, so the oid a client
-    computes before registering equals the oid the server computes on
-    receipt, and equals what ``blob``-committing the same bytes into a
-    PR 7 store would produce.
+    SHA-256 hex of the canonical JSON under git's blob framing
+    (``b"blob <size>\\0" + body``), so the oid a client computes before
+    registering equals the oid the server computes on receipt.
     """
-    return hash_object("blob", canonical_json(payload))
+    body = canonical_json(payload)
+    return hashlib.sha256(b"blob %d\x00" % len(body) + body).hexdigest()
 
 
 def side_mask(index: Dict[Any, int], side: Iterable[Any], n: int) -> str:

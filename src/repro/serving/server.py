@@ -657,9 +657,6 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    # The daemon is an observability citizen by default: enable the
-    # switch so spans/counters/captures flow (scrapes and SLO rules are
-    # the whole point of running it).
     import repro.obs as obs
     from repro.obs import capture as capture_mod
     from repro.obs import slo as slo_mod
@@ -667,6 +664,21 @@ def main(argv=None) -> int:
     from repro.obs.live import LiveAggregator, LiveBus, install as live_install, uninstall as live_uninstall
     from repro.obs.sink import RotatingJsonlSink
 
+    # A bad spec is a usage error, raised before any global state moves.
+    rules = None
+    if args.slo is not None:
+        try:
+            rules = (
+                slo_mod.serving_default_rules()
+                if not args.slo.strip()
+                else slo_mod.parse_spec(args.slo)
+            )
+        except slo_mod.SloError as exc:
+            parser.error(str(exc))
+
+    # The daemon is an observability citizen by default: enable the
+    # switch so spans/counters/captures flow (scrapes and SLO rules are
+    # the whole point of running it).
     obs.enable()
     bus = LiveBus()
     aggregator = LiveAggregator()
@@ -674,12 +686,7 @@ def main(argv=None) -> int:
     live_install(bus)
 
     engine = None
-    if args.slo is not None:
-        rules = (
-            slo_mod.serving_default_rules()
-            if not args.slo.strip()
-            else slo_mod.parse_spec(args.slo)
-        )
+    if rules is not None:
         engine = slo_mod.SloEngine(rules, aggregator=aggregator)
         bus.subscribe(engine.on_record)
         for rule in rules:

@@ -5,11 +5,7 @@ import urllib.request
 
 import pytest
 
-from repro.experiments.run_all import (
-    EXIT_SLO_BREACH,
-    EXIT_STORE_FAILURE,
-    main,
-)
+from repro.experiments.run_all import EXIT_SLO_BREACH, main
 
 
 class TestSloExitCodes:
@@ -45,15 +41,6 @@ class TestSloExitCodes:
         with pytest.raises(SystemExit) as excinfo:
             main(["e7", "--no-telemetry", "--slo=widget:a<=1"])
         assert excinfo.value.code == 2
-
-    def test_baseline_rule_without_store_exits_5(self, tmp_path, capsys,
-                                                 monkeypatch):
-        monkeypatch.chdir(tmp_path)  # no .obs/store here
-        assert main(
-            ["e7", "--no-telemetry",
-             "--slo=baseline:metric:csr.maxflow.calls<=1.1x@HEAD"]
-        ) == EXIT_STORE_FAILURE
-        assert "experiment store" in capsys.readouterr().err
 
 
 class TestSloMemoryExitCodes:

@@ -113,6 +113,14 @@ class TestBitAccounting:
 
 
 class TestValidation:
+    def test_oracle_isolated_from_mutation(self):
+        x = np.zeros(4, dtype=np.int8)
+        y = np.array([1, 0, 0, 0], dtype=np.int8)
+        oracle = CommOracle(x, y)
+        assert oracle.neighbor((PART_A, 0), 0) == (PART_A_PRIME, 0)
+        x[0] = 1
+        assert oracle.neighbor((PART_A, 0), 0) == (PART_A_PRIME, 0)
+
     def test_bad_strings(self):
         with pytest.raises(ParameterError):
             CommOracle(np.zeros(3, dtype=np.int8), np.zeros(3, dtype=np.int8))

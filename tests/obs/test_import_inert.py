@@ -3,7 +3,7 @@
 With telemetry disabled, the hot paths must see what they saw before
 these layers existed: the switch off, no wire capture, no live bus, no
 memory profiler, and a profiler that does not run until started.  The
-probe runs in a fresh interpreter so no other test's state leaks in.
+probes run in a fresh interpreter so no other test's state leaks in.
 """
 
 import os
@@ -25,14 +25,37 @@ assert not profile.SpanProfiler().running
 print("inert")
 """
 
+# The daemon and the load generator import the server; the experiment
+# harness and the report tables are batch-run code they never call.
+SERVER_PROBE = """
+import sys
+import repro.serving.server
+loaded = sorted(
+    name for name in sys.modules
+    if name.startswith("repro.experiments") or name == "repro.obs.report"
+)
+assert not loaded, loaded
+print("inert")
+"""
 
-def test_importing_obs_layers_installs_nothing():
-    result = subprocess.run(
-        [sys.executable, "-c", PROBE],
+
+def _probe(code):
+    return subprocess.run(
+        [sys.executable, "-c", code],
         env={**os.environ, "PYTHONPATH": str(SRC)},
         capture_output=True,
         text=True,
         timeout=60,
     )
+
+
+def test_importing_obs_layers_installs_nothing():
+    result = _probe(PROBE)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "inert"
+
+
+def test_importing_the_server_loads_no_batch_code():
+    result = _probe(SERVER_PROBE)
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "inert"

@@ -1,4 +1,4 @@
-"""JsonlSink edge cases: file modes, failure capture, seq monotonicity."""
+"""JsonlSink edge cases: truncation, failure capture, seq monotonicity."""
 
 import json
 
@@ -22,13 +22,6 @@ class TestFileModes:
             sink.write({"event": "fresh"})
         records = _lines(path)
         assert [r["event"] for r in records] == ["fresh"]
-
-    def test_append_mode_keeps_existing_records(self, tmp_path):
-        path = tmp_path / "t.jsonl"
-        path.write_text('{"event": "old"}\n')
-        with JsonlSink(path, mode="a") as sink:
-            sink.write({"event": "new"})
-        assert [r["event"] for r in _lines(path)] == ["old", "new"]
 
 
 class TestFlushEvery:

@@ -18,7 +18,6 @@ from repro.obs.slo import (
     default_rules,
     parse_spec,
 )
-from repro.obs.store import ExperimentStore
 
 
 class TestParseSpec:
@@ -40,14 +39,6 @@ class TestParseSpec:
         assert rule.kind == "bound"
         assert rule.target == "thm13.queries"
         assert rule.op == ">=" and rule.threshold == 1.1
-
-    def test_baseline_clause(self):
-        (rule,) = parse_spec("baseline:metric:comm.wire_bits<=1.10x@HEAD")
-        assert rule.kind == "baseline"
-        assert rule.target == "comm.wire_bits"
-        assert rule.factor == pytest.approx(1.10)
-        assert rule.rev == "HEAD"
-        assert rule.threshold != rule.threshold  # NaN until resolved
 
     def test_stall_clause(self):
         (rule,) = parse_spec("stall:5")
@@ -101,7 +92,7 @@ class TestParseSpec:
         "metric:a<1",
         "metric:a<=not_a_number",
         "span:e1<=1.0",  # no quantile
-        "baseline:metric:a<=1.1x",  # no revision
+        "baseline:metric:comm.wire_bits<=1.10x@HEAD",  # unknown kind
     ])
     def test_malformed_clause_raises(self, bad):
         with pytest.raises(SloError):
@@ -115,7 +106,7 @@ class TestParseSpec:
         with pytest.raises(SloError, match="quantile"):
             SloRule(name="r", kind="span", target="t", op="<=", threshold=1,
                     quantile=1.5)
-        with pytest.raises(SloError, match="baseline"):
+        with pytest.raises(SloError, match="kind"):
             SloRule(name="r", kind="baseline", target="t", op="<=",
                     threshold=1)
 
@@ -286,103 +277,6 @@ class TestSloEngine:
         bus.publish({"event": "span", "path": "p", "wall_s": 1.0,
                      "ts": 100.0})
         assert aggregator.spans["p"].count(now=100.0) == 1
-
-
-def _telemetry_blob(counters):
-    events = [
-        {"event": "summary",
-         "metrics": {"counters": counters, "gauges": {}, "histograms": {}}},
-    ]
-    return "".join(json.dumps(e) + "\n" for e in events).encode()
-
-
-@pytest.fixture
-def baseline_store(tmp_path):
-    """A synthetic store with one commit recording comm.wire_bits=1000."""
-    store = ExperimentStore.init(tmp_path / "store")
-    store.commit_artifacts(
-        {"telemetry.jsonl": (_telemetry_blob({"comm.wire_bits": 1000.0}),
-                             "telemetry")},
-        message="baseline run",
-    )
-    return store
-
-
-class TestBaselineRules:
-    def test_resolution_sets_threshold_from_commit(self, baseline_store):
-        engine = SloEngine(
-            parse_spec("baseline:metric:comm.wire_bits<=1.10x@HEAD"),
-            store_root=str(baseline_store.root),
-        )
-        engine.resolve_baselines()
-        (rule,) = engine.rules
-        assert rule.threshold == pytest.approx(1100.0)
-        assert rule.resolved["reference"] == pytest.approx(1000.0)
-        assert rule.resolved["rev"] == "HEAD"
-
-    def test_resolved_rule_breaches_relative_to_baseline(self, baseline_store):
-        obs.STATE.enabled = True
-        obs.count("comm.wire_bits", 2000)
-        bus = LiveBus()
-        engine = SloEngine(
-            parse_spec("baseline:metric:comm.wire_bits<=1.10x@HEAD"),
-            store_root=str(baseline_store.root),
-        )
-        engine.resolve_baselines()
-        engine.attach(bus)
-        bus.publish({"event": "live.tick", "ts": 100.0})
-        assert engine.breached
-        (record,) = engine.breaches.values()
-        assert record["value"] == 2000.0
-        assert record["reference"] == pytest.approx(1000.0)
-
-    def test_within_baseline_factor_does_not_breach(self, baseline_store):
-        obs.STATE.enabled = True
-        obs.count("comm.wire_bits", 1050)
-        bus = LiveBus()
-        engine = SloEngine(
-            parse_spec("baseline:metric:comm.wire_bits<=1.10x@HEAD"),
-            store_root=str(baseline_store.root),
-        )
-        engine.resolve_baselines()
-        engine.attach(bus)
-        bus.publish({"event": "live.tick", "ts": 100.0})
-        assert not engine.breached
-
-    def test_unresolved_baseline_rule_is_skipped(self):
-        # NaN threshold (never resolved) must not breach — run_all treats
-        # resolve_baselines failure as its own exit code instead.
-        obs.STATE.enabled = True
-        obs.count("comm.wire_bits", 99999)
-        bus, engine = _engine_on_bus(
-            parse_spec("baseline:metric:comm.wire_bits<=1.10x@HEAD")
-        )
-        bus.publish({"event": "live.tick", "ts": 100.0})
-        assert not engine.breached
-
-    def test_missing_store_raises(self, tmp_path):
-        engine = SloEngine(
-            parse_spec("baseline:metric:comm.wire_bits<=1.10x@HEAD"),
-            store_root=str(tmp_path / "nowhere"),
-        )
-        with pytest.raises(SloError, match="experiment store"):
-            engine.resolve_baselines()
-
-    def test_unknown_revision_raises(self, baseline_store):
-        engine = SloEngine(
-            parse_spec("baseline:metric:comm.wire_bits<=1.10x@no-such-branch"),
-            store_root=str(baseline_store.root),
-        )
-        with pytest.raises(SloError, match="revision"):
-            engine.resolve_baselines()
-
-    def test_commit_without_the_metric_raises(self, baseline_store):
-        engine = SloEngine(
-            parse_spec("baseline:metric:never.recorded<=1.10x@HEAD"),
-            store_root=str(baseline_store.root),
-        )
-        with pytest.raises(SloError, match="no metric"):
-            engine.resolve_baselines()
 
 
 @pytest.fixture

@@ -144,6 +144,17 @@ class TestGraphPayload:
         assert graph_oid(graph_payload(g)) == graph_oid(graph_payload(g))
         other = random_regularish_ugraph(16, 4, rng=3)
         assert graph_oid(graph_payload(g)) != graph_oid(graph_payload(other))
+        # Pinned bytes: clients and caches key graphs by these oids.
+        d = DiGraph()
+        d.add_edge("a", "b", 1.0)
+        d.add_edge("b", "c", 2.5)
+        assert graph_oid(graph_payload(d)) == (
+            "b6208f55b9d449a02f2fe599f5c0decf021830b883fb23c783fc0e738ef33875"
+        )
+        u = UGraph(edges=[(0, 1, 1.0), (1, 2, 3.0)])
+        assert graph_oid(graph_payload(u)) == (
+            "d1894deaa462bca9057ca4a69e5b4aa538301a4d0de7564688ccb9a5611d6972"
+        )
 
     def test_malformed_payload_raises(self):
         with pytest.raises(ProtocolError, match="malformed graph payload"):

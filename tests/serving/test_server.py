@@ -14,10 +14,11 @@ from repro.graphs.generators import random_regularish_ugraph
 from repro.graphs.mincut import directed_global_min_cut, stoer_wagner
 from repro.graphs.ugraph import UGraph
 from repro.obs import capture as obs_capture
+from repro.obs import live as obs_live
 from repro.serving.client import AsyncServingClient, ServingClient
 from repro.serving.protocol import ServingError, sock_recv
 from repro.serving.remote import rng_state_payload
-from repro.serving.server import ServerThread
+from repro.serving.server import ServerThread, main
 from tests.serving.conftest import frame_with_header
 
 
@@ -61,6 +62,14 @@ class TestLifecycle:
             assert client.shutdown()["name"] == "sketch-server"
         thread._thread.join(timeout=10.0)
         assert not thread._thread.is_alive()
+
+    def test_bad_slo_spec_exits_2_before_touching_obs(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["--slo=widget:a<=1"])
+        assert excinfo.value.code == 2
+        assert "unknown SLO rule kind" in capsys.readouterr().err
+        assert not obs.STATE.enabled
+        assert obs_live.active() is None
 
 
 class TestBasicOps:
