@@ -2,7 +2,7 @@
 
 The persistence layer of the experiment store.  Every artifact a run
 produces — a ``telemetry.jsonl``, a wire ``*.capture.jsonl`` transcript,
-a ``BENCH_*.json`` gate report, a bound-check summary — is stored once
+a bound-check summary — is stored once
 as an immutable zlib-compressed **blob** addressed by the SHA-256 of its
 content.  A **tree** groups the named blobs of one run (each entry also
 records a *role* — ``telemetry`` / ``capture`` / ``bench`` / ``bounds``
@@ -14,8 +14,8 @@ violations).
 The encoding is git's: an object's identity is the SHA-256 of
 ``b"<kind> <size>\\0" + body``, and the object lives (compressed) at
 ``objects/<first two hex chars>/<rest>``.  Content addressing is what
-makes the store verifiable — :mod:`repro.obs.store.fsck` re-hashes
-every object and any bit flip changes the address — and deduplicating:
+makes the store verifiable — re-hashing an object detects any bit
+flip, because it changes the address — and deduplicating:
 committing the same telemetry twice stores it once.
 
 Trees and commits serialise as canonical JSON (sorted keys, sorted
@@ -40,7 +40,7 @@ from repro.errors import ObsError
 OBJECT_KINDS = ("blob", "tree", "commit")
 
 #: Roles a tree entry may carry; free-form strings are allowed but these
-#: are the ones the diff/bisect layers know how to interpret.
+#: are the ones run artifacts were filed under.
 KNOWN_ROLES = ("telemetry", "capture", "bench", "bounds", "legacy", "artifact")
 
 
@@ -214,8 +214,8 @@ class ObjectStore:
         """Load one object as ``(kind, body)``.
 
         Only the framing is validated here; byte-level integrity
-        (address == hash of content) is :mod:`repro.obs.store.fsck`'s
-        job, so reads stay cheap on the hot log/diff paths.
+        (address == hash of content) is not re-checked, so reads stay
+        cheap.
         """
         path = self.path_for(oid)
         try:

@@ -1,15 +1,15 @@
 """Branches, tags, HEAD, and the reflog for the experiment store.
 
 Refs are the store's *names*: a branch per experiment line (the
-convention is ``lines/<area>`` — ``lines/kernels``, ``lines/serving``,
-``lines/legacy`` for migrated history), tags for milestones (a paper
-submission, a released baseline), and ``HEAD`` for "where the next
-commit goes".  A ref is one file holding one commit id; ``HEAD`` is
-either symbolic (``ref: refs/heads/<branch>``) or a detached commit id.
+convention is ``lines/<area>`` — ``lines/kernels``, ``lines/serving``),
+tags for milestones (a paper submission, a released baseline), and
+``HEAD`` for "where the next commit goes".  A ref is one file holding
+one commit id; ``HEAD`` is either symbolic (``ref: refs/heads/<branch>``)
+or a detached commit id.
 
 Every HEAD/branch movement appends a JSONL record to ``reflog`` —
 ``{ts, ref, old, new, message}`` — so the history of *the history* is
-itself auditable (and :mod:`repro.obs.store.fsck` validates it).
+itself auditable.
 
 Ref names are validated against path traversal exactly because they
 become file paths: each ``/``-separated segment must be non-empty,
@@ -155,8 +155,7 @@ class RefStore:
             text = self.head_path.read_text().strip()
         except FileNotFoundError:
             raise StoreError(
-                f"{self.root} is not an experiment store (no HEAD); "
-                "run `obs_store.py init` first"
+                f"{self.root} is not an experiment store (no HEAD)"
             ) from None
         if text.startswith("ref: refs/heads/"):
             return ("branch", validate_ref_name(text[len("ref: refs/heads/"):]))
