@@ -79,13 +79,12 @@ Three coordinated pieces:
 ### Bound certification (`repro.obs.bounds`)
 
 `BoundSpec` declares one certified envelope: a name, the theorem tag,
-the measured quantity (`"value:<column>"` for a printed table column,
-`"metric:<name>"` for a per-row counter delta, `"metric:<name>.mean"`
-for a per-row histogram mean), the predicted curve as a function of the
-construction parameters `(n, m, beta, eps, k, ...)`, a direction
-(`lower` / `upper` / `band`), and a multiplicative `slack` absorbing the
-constants and polylogs hidden in Õ/Ω̃.  The module registry ships with
-the Thm 1.1 (`n·√β/ε`, lower), Thm 1.2 (`n·β/ε²`, lower), Thm 1.3
+the printed table `column` that carries the measured value, the
+predicted curve as a function of the construction parameters
+`(n, m, beta, eps, k, ...)`, a direction (`lower` / `upper` / `band`),
+and a multiplicative `slack` absorbing the constants and polylogs
+hidden in Õ/Ω̃.  The module registry ships with the Thm 1.1
+(`n·√β/ε`, lower), Thm 1.2 (`n·β/ε²`, lower), Thm 1.3
 (`min{2m, m/(ε²k)}`, band) and Thm 5.7 (same curve, upper) envelopes.
 
 `BoundMonitor` receives one observation per experiment-table row —
@@ -94,9 +93,10 @@ tables opt in with `Table(bounds=["thm13.queries"], meta={"m": m,
 `finish()` fits the empirical log-log scaling exponent of each sweep
 against the envelope's exponent on the same points (`kind="fit"`
 checks; a table can redirect its fit variable with
-`bounds=[("thm13.queries", {"sweep": "k"})]`).
-`python -m repro.experiments.run_all --strict-bounds` exits 2 on any
-violation; `make bounds-check` wraps this.
+`bounds=[("thm13.queries", {"sweep": "k"})]`).  A row without the
+spec's column is reported as skipped.  Every `run_all` prints the
+verdicts; `--strict-bounds` exits 2 on any violation, and
+`make bounds-check` wraps this.
 
 ### Span-attributed profiler (`repro.obs.profile`)
 
@@ -130,8 +130,11 @@ measured-bytes/theoretical-bits ratio.  Everything is emitted as
 `memory` telemetry events (`kind: rss | span | footprint`) that the
 live aggregator, `obs_watch`'s memory panel, the `repro_memory_*`
 Prometheus gauges, `trace_report --memory-top`, and the `mem:`/`rss:`
-SLO rules all consume; `SpaceBoundSpec` companions certify the
-measured bytes against the Thm 1.1/1.2/1.3 envelopes
+SLO rules all consume.  Under `run_all --memory`, E1b/E2b print their
+sketches' mean bytes as `sketch_bytes` and E3/E3b each oracle's bytes
+as `oracle_bytes`, and the `SpaceBoundSpec` entries
+(`thm11.space_bytes`, `thm12.space_bytes`, `thm13.space_bytes`) certify
+those columns against the Thm 1.1/1.2/1.3 envelopes
 (`run_all --memory --strict-bounds`).  Nothing is installed until
 `start()`, and CI's digest matrix checks that `run_all --memory` prints
 identical stdout at jobs 1 and 2.

@@ -12,15 +12,19 @@ When the observability switch (:mod:`repro.obs`) is on, each
 wall time and global-metric delta since the previous row of the same
 table — and mirrors it to the active sink as a ``row`` event, so
 ``telemetry.jsonl`` carries per-configuration resource accounting next
-to the printed numbers.
+to the printed numbers.  A table filled from :func:`sweep` runs every
+configuration before its first row, so that row's record carries the
+whole sweep's wall time and metrics.
 
 Tables may additionally declare which theorem envelopes their rows
 certify (``bounds=["thm13.queries"]``) together with the construction
 parameters that stay constant across the sweep (``meta={"m": m,
 "k": k}``); every :meth:`Table.add_row` then reports the merged
-``meta + values`` parameters and the row's metric delta to any
-installed :class:`repro.obs.bounds.BoundMonitor`, which checks the row
-against the envelope and emits a ``bound_check`` event.
+``meta + values`` parameters to any installed
+:class:`repro.obs.bounds.BoundMonitor`, which reads each spec's
+measured value from the row's printed column, checks it against the
+envelope and emits a ``bound_check`` event.  Certification therefore
+does not depend on the observability switch.
 """
 
 from __future__ import annotations
@@ -118,10 +122,7 @@ class Table:
             )
         if self.bounds and _bounds.active():
             _bounds.observe_row(
-                self.bounds,
-                {**self.meta, **values},
-                metrics=row.telemetry.get("metrics"),
-                table=self.title,
+                self.bounds, {**self.meta, **values}, table=self.title
             )
         self.rows.append(row)
 

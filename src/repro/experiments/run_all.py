@@ -22,24 +22,27 @@ into tables.
 
 Every run additionally certifies the metered quantities against the
 paper's envelopes (:mod:`repro.obs.bounds`): experiment tables that
-declare ``bounds=...`` are checked row by row, the per-sweep scaling
-exponents are fitted, and the results are printed and emitted as
-``bound_check`` events.  ``--strict-bounds`` turns any violation into
-exit code 2.  ``--profile`` attaches the span-attributed profiler
+declare ``bounds=...`` are checked row by row, each bound reading one
+of the row's printed columns, the per-sweep scaling exponents are
+fitted, and the results are printed and emitted as ``bound_check``
+events.  ``--strict-bounds`` only turns any violation into exit
+code 2.  ``--profile`` attaches the span-attributed profiler
 (:mod:`repro.obs.profile`) and records ``profile`` events.
 
 ``--memory[=sample|trace]`` attaches the measured-space profiler
-(:mod:`repro.obs.memory`): a background thread samples peak RSS, every
-core-structure construction (CSR snapshots, sketches, the local-query
-oracle) records its measured resident bytes next to its theoretical
-``size_bits()``, and the Thm 1.1/1.2/1.3 *space* companions certify the
-measured bytes against the theorem envelopes alongside the bit bounds
-(so ``--memory --strict-bounds`` enforces them).  ``trace`` mode
-additionally attributes tracemalloc net/peak allocation deltas to span
-paths; ``memory`` events ride the normal telemetry flow, the live bus
-gains ``repro_memory_*`` gauges, and the ``mem:`` / ``rss:`` SLO rule
-kinds become meaningful.  All memory status output goes to stderr, so
-stdout digests are unaffected at any ``--jobs`` count.
+(:mod:`repro.obs.memory`): a background thread samples peak RSS, and
+every core-structure construction (CSR snapshots, sketches, the
+local-query oracle) records its measured resident bytes next to its
+theoretical ``size_bits()``.  E1b and E2b then print their sketches'
+mean bytes as ``sketch_bytes`` and E3 and E3b each configuration's
+oracle bytes as ``oracle_bytes``; the Thm 1.1/1.2/1.3 *space* specs
+certify those columns against the theorem envelopes alongside the bit
+bounds (so ``--memory --strict-bounds`` enforces them).  ``trace``
+mode additionally attributes tracemalloc net/peak allocation deltas to
+span paths; ``memory`` events ride the normal telemetry flow, the live
+bus gains ``repro_memory_*`` gauges, and the ``mem:`` / ``rss:`` SLO
+rule kinds become meaningful.  The four byte columns are equal at any
+``--jobs`` count; all other memory output goes to stderr.
 ``--capture-wire`` additionally records every protocol message (sketch
 ships, ledger charges, oracle queries) to ``--capture-path`` as a
 wire-level transcript; render it with ``scripts/wire_report.py`` or
@@ -266,9 +269,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         help="attach the measured-space profiler: 'sample' (the bare "
         "flag) tracks peak RSS and structure footprints; 'trace' "
         "additionally attributes tracemalloc deltas to span paths.  "
-        "Registers the Thm 1.1/1.2/1.3 space companions so measured "
-        "bytes are certified against the theorem envelopes (use the "
-        "'=' form when experiment ids follow)",
+        "E1b/E2b print sketch_bytes and E3/E3b oracle_bytes, which the "
+        "Thm 1.1/1.2/1.3 space specs certify against the theorem "
+        "envelopes (use the '=' form when experiment ids follow)",
     )
     parser.add_argument(
         "--capture-wire",
@@ -369,13 +372,35 @@ def main(argv: Optional[List[str]] = None) -> int:
         file=sys.stderr,
     )
 
-    # Metric mirroring must be on for bound certification (the sketch-size
-    # specs read per-row metric deltas), so --no-telemetry only drops the
-    # sink, not the switch, when bounds are enforced strictly.
-    # Wire capture needs live instrumentation sites too, so it also
-    # forces the switch on (it records regardless of --no-telemetry).
-    # The live bus tees off sink.emit, so --slo/--live-export/--live-port
-    # force the switch on the same way (they work under --no-telemetry).
+    def _restore() -> None:
+        """Undo the kernel selection and the space specs registered here."""
+        _kernels.select_backend(previous_kernels)
+        if args.memory is not None:
+            # Later in-process runs without --memory must not inherit
+            # the space specs.
+            obs_memory.unregister_space_bounds()
+
+    # The space specs must exist before the SLO spec parses: a bare
+    # --slo (and any bound:* wildcard) expands over the registry, and
+    # the memory specs belong in that expansion.  Both steps come before
+    # anything opens a file, so a malformed spec leaves the previous
+    # run's telemetry alone.
+    if args.memory is not None:
+        obs_memory.register_space_bounds()
+    rules = None
+    if args.slo is not None:
+        try:
+            rules = obs_slo.parse_spec(args.slo)
+        except obs_slo.SloError as exc:
+            _restore()
+            parser.error(str(exc))
+
+    # Wire capture needs live instrumentation sites, so it forces the
+    # switch on (it records regardless of --no-telemetry), and so does
+    # the memory profiler.  The live bus tees off sink.emit, so
+    # --slo/--live-export/--live-port force the switch on the same way
+    # (they work under --no-telemetry).  Bound certification reads the
+    # printed columns and needs no switch.
     live_on = (
         args.slo is not None
         or args.live_export is not None
@@ -383,16 +408,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     use_obs = (
         not args.no_telemetry
-        or args.strict_bounds
         or args.capture_wire
         or live_on
         or args.memory is not None
     )
-    # Space-envelope companions must exist before the SLO spec parses:
-    # a bare --slo (and any bound:* wildcard) expands over the registry,
-    # and the memory specs belong in that expansion.
-    if args.memory is not None:
-        obs_memory.register_space_bounds()
     flush_every = args.flush_every
     if flush_every is None and live_on:
         flush_every = 1  # live tails must see events promptly
@@ -406,7 +425,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 f"{os.path.abspath(args.telemetry)}: {exc}",
                 file=sys.stderr,
             )
-            _kernels.select_backend(previous_kernels)
+            _restore()
             return EXIT_TELEMETRY_FAILURE
         print(f"telemetry sink: {os.path.abspath(sink.path)}")
     if use_obs:
@@ -440,17 +459,12 @@ def main(argv: Optional[List[str]] = None) -> int:
             OBS_STATE.sink = None
         if use_obs:
             obs_disable()
-        _kernels.select_backend(previous_kernels)
+        _restore()
 
     if live_on:
         bus = obs_live.install(obs_live.LiveBus())
         aggregator = obs_live.LiveAggregator().attach(bus)
-        if args.slo is not None:
-            try:
-                rules = obs_slo.parse_spec(args.slo)
-            except obs_slo.SloError as exc:
-                _setup_abort()
-                parser.error(str(exc))
+        if rules is not None:
             engine = obs_slo.SloEngine(rules, aggregator=aggregator).attach(bus)
             for rule in engine.rules:
                 print(f"slo rule: {rule.describe()}", file=sys.stderr)
@@ -577,14 +591,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             obs_event("summary", metrics=OBS_REGISTRY.as_dict())
     finally:
         set_default_jobs(None)
-        _kernels.select_backend(previous_kernels)
+        _restore()
         obs_bounds.uninstall(monitor)
         if mem_profiler is not None:
             mem_profiler.stop()  # idempotent; covers the crash path
-        if args.memory is not None:
-            # Restore the pre-run spec registry: later in-process runs
-            # without --memory must not inherit the space companions.
-            obs_memory.unregister_space_bounds()
         _live_teardown()
         if capture is not None:
             obs_capture.uninstall(capture)

@@ -5,7 +5,10 @@ function that defines its tables.  ``python -m repro.experiments.run_all``
 prints them, ``make tables`` writes that output to ``docs/results.txt``,
 and EXPERIMENTS.md quotes every measured number from that file by table
 title.  Tables whose rows certify a theorem envelope declare
-``bounds=`` (:mod:`repro.obs.bounds`); the others only print.
+``bounds=`` (:mod:`repro.obs.bounds`), and each bound reads one of the
+row's printed columns; the others only print.  Under ``run_all
+--memory`` the space-certified tables (E1b, E2b, E3, E3b) add a column
+of measured bytes and its space spec (:func:`_space_column`).
 
 Every table is seeded, and its printed values are identical at any
 ``--jobs`` count and on either kernel backend.
@@ -14,9 +17,25 @@ Every table is seeded, and its printed values are identical at any
 from __future__ import annotations
 
 import math
-from typing import Callable, Dict, List
+from typing import Callable, Dict, List, Tuple
 
 from repro.experiments.harness import Table, sweep
+
+
+def _space_column(column: str, spec: str) -> Tuple[List[str], List[str]]:
+    """``([column], [spec])`` while a memory profiler runs, else ``([], [])``.
+
+    A space-certified table appends the first list to its columns and
+    the second to its bounds, so it prints its runner's measured bytes
+    and checks them against ``spec`` only under ``run_all --memory``
+    (which registers the space specs); without a profiler it prints
+    exactly as before.
+    """
+    from repro.obs import memory
+
+    if memory.active() is None:
+        return [], []
+    return [column], [spec]
 
 
 def _planted_gxy(side: int, gamma: int, seed: int):
@@ -83,10 +102,13 @@ def _e1_foreach() -> List[Table]:
     # Valid-sketch sweep certifying the Thm 1.1 envelope: a correct
     # (here exact) sketch of the construction graph must carry
     # Omega~(n sqrt(beta)/eps) bits at every epsilon on the sweep.
+    bytes_column, space_bound = _space_column(
+        "sketch_bytes", "thm11.space_bytes"
+    )
     sweep_table = Table(
         title="E1b / Theorem 1.1 - exact sketch bits vs eps",
-        columns=["eps", "n", "beta", "mean_bits", "envelope"],
-        bounds=["thm11.sketch_bits"],
+        columns=["eps", "n", "beta", "mean_bits", "envelope", *bytes_column],
+        bounds=["thm11.sketch_bits", *space_bound],
     )
     for inv_eps in (2, 4, 8):
         p = ForEachParams(inv_eps=inv_eps, sqrt_beta=1, num_groups=2)
@@ -99,6 +121,7 @@ def _e1_foreach() -> List[Table]:
             beta=p.beta,
             mean_bits=result.mean_sketch_bits,
             envelope=p.num_nodes * math.sqrt(p.beta) / p.epsilon,
+            **dict.fromkeys(bytes_column, result.mean_sketch_bytes),
         )
     # Bit yield of a valid (well under tolerance) noisy sketch: the
     # Fano-converted recovered information against n sqrt(beta)/eps.
@@ -157,10 +180,13 @@ def _e2_forall() -> List[Table]:
         fano_bits=result.fano_bits(),
     )
     # Valid-sketch sweep certifying the Thm 1.2 envelope over epsilon.
+    bytes_column, space_bound = _space_column(
+        "sketch_bytes", "thm12.space_bytes"
+    )
     sweep_table = Table(
         title="E2b / Theorem 1.2 - exact sketch bits vs eps",
-        columns=["eps", "n", "beta", "mean_bits", "envelope"],
-        bounds=["thm12.sketch_bits"],
+        columns=["eps", "n", "beta", "mean_bits", "envelope", *bytes_column],
+        bounds=["thm12.sketch_bits", *space_bound],
     )
     for inv_eps_sq in (2, 4, 8):
         p = ForAllParams(inv_eps_sq=inv_eps_sq, beta=1, num_groups=2)
@@ -173,6 +199,7 @@ def _e2_forall() -> List[Table]:
             beta=p.beta,
             mean_bits=res.mean_sketch_bits,
             envelope=p.num_nodes * p.beta / (p.epsilon * p.epsilon),
+            **dict.fromkeys(bytes_column, res.mean_sketch_bytes),
         )
 
     def game(p, sketch_eps, rng):
@@ -230,12 +257,20 @@ def _e3_localquery() -> List[Table]:
     from repro.localquery.oracle import GraphOracle
     from repro.localquery.reduction import solve_twosum_via_mincut
     from repro.localquery.verify_guess import fetch_degrees, verify_guess
+    from repro.obs.memory import deep_sizeof
 
     graph, k = planted_min_cut_ugraph(40, 20, rng=20)
     m = graph.num_edges
+    # Each configuration builds its own oracle; under --memory its
+    # resident bytes, taken right after construction, are the row's
+    # measured space.
+    bytes_column, space_bound = _space_column(
+        "oracle_bytes", "thm13.space_bytes"
+    )
 
     def run_eps(eps: float) -> Dict[str, float]:
         oracle = GraphOracle(graph)
+        oracle_bytes = deep_sizeof(oracle) if bytes_column else None
         degrees = fetch_degrees(oracle)
         result = verify_guess(
             oracle, degrees, t=float(k), eps=eps, rng=0, constant=0.5
@@ -243,17 +278,21 @@ def _e3_localquery() -> List[Table]:
         return {
             "queries": result.neighbor_queries,
             "bound": min(2 * m, m / (eps * eps * k)),
+            "oracle_bytes": oracle_bytes,
         }
 
     table = Table(
         title="E3 / Theorem 1.3 - VERIFY-GUESS queries vs min{2m, m/(eps^2 k)}",
-        columns=["eps", "queries", "bound"],
+        columns=["eps", "queries", "bound", *bytes_column],
         meta={"m": m, "k": k, "n": graph.num_nodes},
-        bounds=["thm13.queries"],
+        bounds=["thm13.queries", *space_bound],
     )
     for row in sweep([{"eps": e} for e in (0.6, 0.45, 0.3, 0.2)], run_eps):
         table.add_row(
-            eps=row["eps"], queries=row["queries"], bound=row["bound"]
+            eps=row["eps"],
+            queries=row["queries"],
+            bound=row["bound"],
+            **dict.fromkeys(bytes_column, row["oracle_bytes"]),
         )
 
     # Same certification over the cut-size sweep: the min{2m, m/(eps^2 k)}
@@ -262,6 +301,7 @@ def _e3_localquery() -> List[Table]:
         g, planted_k = planted_min_cut_ugraph(40, cut_size, rng=cut_size)
         m_k, eps = g.num_edges, 0.45
         oracle = GraphOracle(g)
+        oracle_bytes = deep_sizeof(oracle) if bytes_column else None
         degrees = fetch_degrees(oracle)
         result = verify_guess(
             oracle, degrees, t=float(planted_k), eps=eps, rng=0, constant=0.5
@@ -272,12 +312,14 @@ def _e3_localquery() -> List[Table]:
             "eps": eps,
             "queries": result.neighbor_queries,
             "bound": min(2 * m_k, m_k / (eps * eps * planted_k)),
+            "oracle_bytes": oracle_bytes,
         }
 
     sweep_table = Table(
         title="E3b / Theorem 1.3 - VERIFY-GUESS queries vs k (eps = 0.45)",
-        columns=["k", "m", "eps", "queries", "bound"],
-        bounds=[("thm13.queries", {"sweep": "k"})],
+        columns=["k", "m", "eps", "queries", "bound", *bytes_column],
+        meta={"n": graph.num_nodes},
+        bounds=[("thm13.queries", {"sweep": "k"}), *space_bound],
     )
     for row in sweep([{"cut_size": c} for c in (5, 10, 20, 38)], run_cut):
         sweep_table.add_row(
@@ -286,6 +328,7 @@ def _e3_localquery() -> List[Table]:
             eps=row["eps"],
             queries=row["queries"],
             bound=row["bound"],
+            **dict.fromkeys(bytes_column, row["oracle_bytes"]),
         )
 
     # Lemma 5.6: the estimator run against the G_{x,y} CommOracle pays at

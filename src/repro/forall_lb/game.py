@@ -28,6 +28,7 @@ from repro.graphs.digraph import DiGraph
 from repro.obs import STATE as _OBS
 from repro.obs import capture as _capture
 from repro.obs import count as _obs_count
+from repro.obs import memory as _obs_memory
 from repro.obs import span as _obs_span
 from repro.parallel import run_trials
 from repro.sketch.base import CutSketch
@@ -45,6 +46,9 @@ class GapHammingGameResult:
     summary: TrialSummary
     mean_sketch_bits: float
     mean_queries: float
+    #: Mean measured resident bytes per round sketch while a memory
+    #: profiler runs (:func:`repro.obs.memory.deep_sizeof`), else None.
+    mean_sketch_bytes: Optional[float] = None
 
     @property
     def success_rate(self) -> float:
@@ -77,7 +81,9 @@ def run_gap_hamming_game(
 
     ``jobs`` fans rounds out over worker processes (see
     :mod:`repro.parallel`) with results and telemetry bit-identical to
-    the serial path for any worker count.
+    the serial path for any worker count.  While a memory profiler runs,
+    each round also measures its sketch's resident bytes right after
+    ``size_bits()``.
     """
     if rounds < 1:
         raise ParameterError("rounds must be positive")
@@ -85,8 +91,11 @@ def run_gap_hamming_game(
         raise ParameterError("enumeration_limit must be positive")
     gen = ensure_rng(rng)
     encoder = ForAllEncoder(params)
+    measure_bytes = _obs_memory.active() is not None
 
-    def play_round(round_rng: np.random.Generator) -> Tuple[int, float, float]:
+    def play_round(
+        round_rng: np.random.Generator,
+    ) -> Tuple[int, float, float, int]:
         with _obs_span("forall.round"):
             instance = sample_gap_hamming_instance(
                 num_strings=params.num_strings,
@@ -97,6 +106,9 @@ def run_gap_hamming_game(
                 encoded = encoder.encode(instance.strings)
             sketch = sketch_factory(encoded.graph, round_rng)
             sketch_bits = float(sketch.size_bits())
+            sketch_bytes = (
+                _obs_memory.deep_sizeof(sketch) if measure_bytes else 0
+            )
             if _OBS.enabled:
                 # Alice's one-way message: the sketch of her encoding.
                 _capture.record(
@@ -116,17 +128,18 @@ def run_gap_hamming_game(
                     payload=str(decision.case),
                 )
                 _obs_count("game.forall.rounds")
-        return success, sketch_bits, float(decision.queries_made)
+        return success, sketch_bits, float(decision.queries_made), sketch_bytes
 
     # Built before the pool forks, so every worker inherits the table.
     half_subset_table(params.group_size, enumeration_limit)
     outcomes = run_trials(play_round, rounds, gen, jobs=jobs)
-    successes = sum(success for success, _, _ in outcomes)
-    total_bits = sum(bits for _, bits, _ in outcomes)
-    total_queries = sum(queries for _, _, queries in outcomes)
+    successes, total_bits, total_queries, total_bytes = map(
+        sum, zip(*outcomes)
+    )
     return GapHammingGameResult(
         params=params,
         summary=TrialSummary(successes=successes, trials=rounds),
         mean_sketch_bits=total_bits / rounds,
         mean_queries=total_queries / rounds,
+        mean_sketch_bytes=total_bytes / rounds if measure_bytes else None,
     )

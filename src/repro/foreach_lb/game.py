@@ -28,6 +28,7 @@ from repro.graphs.digraph import DiGraph
 from repro.obs import STATE as _OBS
 from repro.obs import capture as _capture
 from repro.obs import count as _obs_count
+from repro.obs import memory as _obs_memory
 from repro.obs import span as _obs_span
 from repro.parallel import run_trials
 from repro.sketch.base import CutSketch
@@ -50,6 +51,9 @@ class IndexGameResult:
     #: Fraction of rounds whose target bit sat in a failed encoding block
     #: (those rounds count as coin flips, mirroring the proof's budget).
     encoding_failure_rate: float
+    #: Mean measured resident bytes per round sketch while a memory
+    #: profiler runs (:func:`repro.obs.memory.deep_sizeof`), else None.
+    mean_sketch_bytes: Optional[float] = None
 
     @property
     def success_rate(self) -> float:
@@ -83,7 +87,8 @@ def run_index_game(
     :mod:`repro.parallel`); every value — including the default serial
     resolution — produces bit-identical results and telemetry, because
     each round's randomness is split from ``rng`` by trial index before
-    scheduling.
+    scheduling.  While a memory profiler runs, each round also measures
+    its sketch's resident bytes right after ``size_bits()``.
     """
     if rounds < 1:
         raise ParameterError("rounds must be positive")
@@ -92,8 +97,11 @@ def run_index_game(
     gen = ensure_rng(rng)
     encoder = ForEachEncoder(params)
     decoder = ForEachDecoder(params)
+    measure_bytes = _obs_memory.active() is not None
 
-    def play_round(round_rng: np.random.Generator) -> Tuple[int, int, float]:
+    def play_round(
+        round_rng: np.random.Generator,
+    ) -> Tuple[int, int, float, int]:
         with _obs_span("foreach.round"):
             s = random_signstring(params.string_length, rng=round_rng)
             q = int(round_rng.integers(0, params.string_length))
@@ -103,6 +111,9 @@ def run_index_game(
             failed = int(block in encoded.failed_blocks)
             sketch = sketch_factory(encoded.graph, round_rng)
             sketch_bits = float(sketch.size_bits())
+            sketch_bytes = (
+                _obs_memory.deep_sizeof(sketch) if measure_bytes else 0
+            )
             if _OBS.enabled:
                 # Alice's one-way message: the sketch of her encoding.
                 _capture.record(
@@ -119,15 +130,16 @@ def run_index_game(
                     payload=(int(q), int(guess)),
                 )
                 _obs_count("game.foreach.rounds")
-        return success, failed, sketch_bits
+        return success, failed, sketch_bits, sketch_bytes
 
     outcomes = run_trials(play_round, rounds, gen, jobs=jobs)
-    successes = sum(success for success, _, _ in outcomes)
-    failed_rounds = sum(failed for _, failed, _ in outcomes)
-    total_bits = sum(bits for _, _, bits in outcomes)
+    successes, failed_rounds, total_bits, total_bytes = map(
+        sum, zip(*outcomes)
+    )
     return IndexGameResult(
         params=params,
         summary=TrialSummary(successes=successes, trials=rounds),
         mean_sketch_bits=total_bits / rounds,
         encoding_failure_rate=failed_rounds / rounds,
+        mean_sketch_bytes=total_bytes / rounds if measure_bytes else None,
     )

@@ -251,8 +251,7 @@ class CSRGraph:
         self._residual: Optional[ResidualNetwork] = None
         if _OBS.enabled and _obs_memory.active() is not None:
             # Measured resident bytes of the snapshot (arrays + label
-            # index), certified against the Thm 1.3 working-set envelope
-            # by the memory profiler's space companions.
+            # index), recorded as a footprint event.
             _obs_memory.observe_footprint(self, metric="memory.graph_bytes")
 
     # ------------------------------------------------------------------

@@ -185,8 +185,7 @@ class GraphOracle(LocalQueryOracle):
         }
         if _OBS.enabled and _obs_memory.active() is not None:
             # The oracle's resident working set (graph copy + neighbor
-            # order) is what the Thm 1.3 space companion certifies
-            # against the O(m log n) edge-list envelope.
+            # order), recorded as a footprint event.
             _obs_memory.observe_footprint(self, metric="memory.graph_bytes")
 
     @property

@@ -36,8 +36,8 @@ round trips).  Three pieces:
   structures (CSR snapshots, sketches alongside their theoretical
   ``size_bits()``, the shared-memory result arena), and
   measured-bytes-vs-theorem-envelope certification via
-  :class:`~repro.obs.bounds.SpaceBoundSpec` companions
-  (``run_all --memory``);
+  :class:`~repro.obs.bounds.SpaceBoundSpec` entries over the byte
+  columns the tables print under ``run_all --memory``;
 * :mod:`repro.obs.slo` — declarative SLO rules (metric thresholds,
   span-latency ceilings, bound-slack floors, worker-stall alerts,
   measured-memory ``mem:``/``rss:`` ceilings) evaluated live, emitting

@@ -1,15 +1,16 @@
 """Bound certification: measured resources vs. the paper's predicted curves.
 
-PR 2 metered every resource the reproduced theorems price — sketch
-``size_bits``, protocol wire bits, oracle query charges — but left the
-comparison against the theorems' *curves* to a human reading tables.
-This module closes that loop:
+Every resource the reproduced theorems price (sketch ``size_bits``,
+protocol wire bits, oracle query charges) is printed by some experiment
+table.  This module compares those printed columns with the theorems'
+*curves*:
 
 * :class:`BoundSpec` — one declarative entry per certified bound: the
-  theorem tag, the predicted envelope as a function of the construction
-  parameters ``(n, m, beta, eps, k, ...)``, the direction (``lower`` /
-  ``upper`` / ``band``), and a multiplicative ``slack`` absorbing the
-  constants and log factors hidden inside Õ/Ω̃;
+  theorem tag, the printed column that carries the measured value, the
+  predicted envelope as a function of the construction parameters
+  ``(n, m, beta, eps, k, ...)``, the direction (``lower`` / ``upper`` /
+  ``band``), and a multiplicative ``slack`` absorbing the constants and
+  log factors hidden inside Õ/Ω̃;
 * a module-level **registry** (:func:`register` / :func:`get_spec`)
   pre-populated with the Theorem 1.1, 1.2, 1.3 and 5.7 envelopes;
 * :class:`BoundMonitor` — installed for a run, it receives one
@@ -20,10 +21,11 @@ This module closes that loop:
   empirical scaling exponent of each parameter sweep against the
   envelope's exponent on the same points.
 
-``python -m repro.experiments.run_all --strict-bounds`` installs a
-monitor and exits non-zero when any check reports ``violation`` — the
-Ω̃(n·√β/ε) / Ω(n·β/ε²) / Θ̃(m/(ε²k)) claims are certified by machinery
-on every run instead of by rereading tables.
+``python -m repro.experiments.run_all`` installs a monitor on every run
+and prints its verdicts; ``--strict-bounds`` exits non-zero when any
+check reports ``violation`` — the Ω̃(n·√β/ε) / Ω(n·β/ε²) /
+Θ̃(m/(ε²k)) claims are certified by machinery on every run instead of
+by rereading tables.
 
 Direction semantics (``measured`` vs ``predicted`` envelope ``P``):
 
@@ -70,15 +72,9 @@ BoundRef = Union[str, Tuple[str, Mapping[str, Any]]]
 class BoundSpec:
     """One certified bound: envelope, direction, and declared slack.
 
-    ``quantity`` names where the measured value comes from:
-
-    * ``"value:<column>"`` — a printed column of the observing table's
-      row (e.g. the E3 ``queries`` column);
-    * ``"metric:<name>"`` — the per-row delta of a global counter
-      (e.g. ``oracle.query.neighbor``);
-    * ``"metric:<name>.mean"`` — the per-row mean of a global histogram
-      (``<name>.sum / <name>.count`` of the row's delta, e.g.
-      ``sketch.size_bits.mean``).
+    ``column`` names the printed table column that carries the measured
+    value (E1b's ``mean_bits``, E3's ``queries``); a row without that
+    column is skipped.
 
     ``slack`` is multiplicative and declared, not fitted: it is the
     repository's stated budget for the constants and polylog factors
@@ -88,7 +84,7 @@ class BoundSpec:
 
     name: str
     theorem: str
-    quantity: str
+    column: str
     direction: str
     predicted: Predictor
     formula: str
@@ -107,14 +103,6 @@ class BoundSpec:
             )
         if self.slack < 1.0:
             raise ObsError(f"slack must be >= 1, got {self.slack}")
-        if not (
-            self.quantity.startswith("value:")
-            or self.quantity.startswith("metric:")
-        ):
-            raise ObsError(
-                f"quantity must be 'value:<col>' or 'metric:<name>', "
-                f"got {self.quantity!r}"
-            )
 
     def check(self, measured: float, predicted: float) -> bool:
         """Whether ``measured`` honors the envelope within the slack."""
@@ -129,17 +117,17 @@ class BoundSpec:
 class SpaceBoundSpec(BoundSpec):
     """A bound over *measured* resident bytes, certified in bits.
 
-    The quantity arrives in bytes (:func:`repro.obs.memory.
-    deep_footprint` measures what the interpreter actually holds) while
-    the paper's envelopes price bits, so the measured value is
-    multiplied by ``scale`` (8 bits/byte) before the comparison —
-    ``measured`` / ``predicted`` / ``ratio`` on the emitted
-    ``bound_check`` stay unit-consistent, with the raw bytes preserved
-    in the event as ``measured_raw``.  Direction and ``slack``
-    semantics are exactly :class:`BoundSpec`'s.
+    The column holds bytes (:func:`repro.obs.memory.deep_sizeof`
+    measures what the interpreter actually holds) while the paper's
+    envelopes price bits, so the measured value is multiplied by
+    ``scale`` (8 bits/byte) before the comparison — ``measured`` /
+    ``predicted`` / ``ratio`` on the emitted ``bound_check`` stay
+    unit-consistent, with the raw bytes preserved in the event as
+    ``measured_raw``.  Direction and ``slack`` semantics are exactly
+    :class:`BoundSpec`'s.
     """
 
-    #: Multiplier applied to the measured quantity before the check
+    #: Multiplier applied to the measured value before the check
     #: (bytes -> bits).
     scale: float = 8.0
 
@@ -149,13 +137,6 @@ class SpaceBoundSpec(BoundSpec):
 # ----------------------------------------------------------------------
 
 _REGISTRY: Dict[str, BoundSpec] = {}
-
-#: Companion links: checking a row against a base spec also checks the
-#: same row against each registered companion spec.  This is how the
-#: measured-space specs (:mod:`repro.obs.memory`) piggyback on the
-#: tables' existing ``bounds=`` references without the experiments
-#: knowing about them — no entries, no extra checks, no cost.
-_COMPANIONS: Dict[str, Tuple[str, ...]] = {}
 
 
 def register(spec: BoundSpec, replace: bool = False) -> BoundSpec:
@@ -167,40 +148,8 @@ def register(spec: BoundSpec, replace: bool = False) -> BoundSpec:
 
 
 def unregister(name: str) -> None:
-    """Remove a spec (and any companion links involving it); absent is a no-op."""
+    """Remove a spec; absent is a no-op."""
     _REGISTRY.pop(name, None)
-    _COMPANIONS.pop(name, None)
-    for base in list(_COMPANIONS):
-        unregister_companion(base, name)
-
-
-def register_companion(base: str, companion: str) -> None:
-    """Also check ``companion`` whenever a row references ``base``.
-
-    Both names must already be registered; duplicate links are a no-op.
-    """
-    get_spec(base)
-    get_spec(companion)
-    current = _COMPANIONS.get(base, ())
-    if companion not in current:
-        _COMPANIONS[base] = current + (companion,)
-
-
-def unregister_companion(base: str, companion: str) -> None:
-    """Drop one companion link (absent is a no-op)."""
-    current = _COMPANIONS.get(base)
-    if not current or companion not in current:
-        return
-    remaining = tuple(name for name in current if name != companion)
-    if remaining:
-        _COMPANIONS[base] = remaining
-    else:
-        del _COMPANIONS[base]
-
-
-def companions_of(base: str) -> Tuple[str, ...]:
-    """The companion spec names riding along with ``base`` (maybe empty)."""
-    return _COMPANIONS.get(base, ())
 
 
 def get_spec(name: str) -> BoundSpec:
@@ -231,13 +180,13 @@ def _thm13_envelope(p: Mapping[str, float]) -> float:
 
 
 #: Theorem 1.1 — any valid (1±ε) for-each sketch of a β-balanced n-node
-#: digraph carries Ω̃(n·√β/ε) bits; the measured mean sketch size per
-#: game round must clear the envelope from above.
+#: digraph carries Ω̃(n·√β/ε) bits; E1b's mean sketch size per game
+#: round must clear the envelope from above.
 THM11_SKETCH_BITS = register(
     BoundSpec(
         name="thm11.sketch_bits",
         theorem="Thm 1.1",
-        quantity="metric:sketch.size_bits.mean",
+        column="mean_bits",
         direction="lower",
         predicted=_thm11_envelope,
         formula="n*sqrt(beta)/eps",
@@ -253,7 +202,7 @@ THM12_SKETCH_BITS = register(
     BoundSpec(
         name="thm12.sketch_bits",
         theorem="Thm 1.2",
-        quantity="metric:sketch.size_bits.mean",
+        column="mean_bits",
         direction="lower",
         predicted=_thm12_envelope,
         formula="n*beta/eps^2",
@@ -271,7 +220,7 @@ THM13_QUERIES = register(
     BoundSpec(
         name="thm13.queries",
         theorem="Thm 1.3",
-        quantity="value:queries",
+        column="queries",
         direction="band",
         predicted=_thm13_envelope,
         formula="min(2m, m/(eps^2 k))",
@@ -293,7 +242,7 @@ THM57_SEARCH_QUERIES = register(
     BoundSpec(
         name="thm57.search_queries",
         theorem="Thm 5.7",
-        quantity="value:modified_search",
+        column="modified_search",
         direction="upper",
         predicted=_thm13_envelope,
         formula="min(2m, m/(eps^2 k))",
@@ -346,28 +295,6 @@ class BoundCheck:
         return record
 
 
-def _extract_measured(
-    spec: BoundSpec,
-    params: Mapping[str, Any],
-    metrics: Optional[Mapping[str, float]],
-) -> Optional[float]:
-    """Resolve the spec's quantity from row values / per-row metric delta."""
-    kind, _, key = spec.quantity.partition(":")
-    if kind == "value":
-        value = params.get(key)
-        return float(value) if value is not None else None
-    if metrics is None:
-        return None
-    if key.endswith(".mean"):
-        base = key[: -len(".mean")]
-        count = metrics.get(f"{base}.count", 0)
-        if not count:
-            return None
-        return float(metrics.get(f"{base}.sum", 0.0)) / count
-    value = metrics.get(key)
-    return float(value) if value is not None else None
-
-
 def fit_loglog_slope(points: Sequence[Tuple[float, float]]) -> float:
     """Least-squares slope of ``log y`` against ``log x``.
 
@@ -415,15 +342,12 @@ class BoundMonitor:
         self,
         bounds: Sequence[BoundRef],
         params: Mapping[str, Any],
-        metrics: Optional[Mapping[str, float]] = None,
         table: Optional[str] = None,
     ) -> List[BoundCheck]:
         """Check one experiment row against every referenced spec.
 
-        Each referenced spec's registered companions (see
-        :func:`register_companion`) are checked against the same row —
-        the hook that lets ``run_all --memory`` certify measured bytes
-        on rows whose tables only declare the bit-bound specs.
+        Each spec reads its measured value from the row's printed
+        ``column``; a row without that column is recorded as skipped.
         """
         results = []
         for ref in bounds:
@@ -431,15 +355,16 @@ class BoundMonitor:
             if isinstance(ref, tuple):
                 ref, overrides = ref
             spec = get_spec(ref)
-            results.append(
-                self._check_row(spec, params, metrics, table, overrides)
-            )
-            # Companions run on their own spec config: table-level
-            # overrides (e.g. a sweep variable) belong to the base ref.
-            for name in companions_of(spec.name):
-                results.append(
-                    self._check_row(get_spec(name), params, metrics, table, {})
+            measured = params.get(spec.column)
+            if measured is None:
+                check = self._skip(
+                    spec, table, f"column {spec.column!r} not in the row"
                 )
+            else:
+                check = self._finish_row(
+                    spec, float(measured), params, table, overrides
+                )
+            results.append(check)
         return results
 
     def record(
@@ -450,27 +375,24 @@ class BoundMonitor:
         spec = get_spec(spec_name)
         return self._finish_row(spec, float(measured), params, table, {})
 
-    def _check_row(
+    def _skip(
         self,
         spec: BoundSpec,
-        params: Mapping[str, Any],
-        metrics: Optional[Mapping[str, float]],
         table: Optional[str],
-        overrides: Mapping[str, Any],
+        reason: str,
+        measured: Optional[float] = None,
     ) -> BoundCheck:
-        measured = _extract_measured(spec, params, metrics)
-        if measured is None:
-            check = BoundCheck(
-                spec=spec.name,
-                theorem=spec.theorem,
-                kind="row",
-                status="skipped",
-                table=table,
-                detail={"reason": f"quantity {spec.quantity!r} not observed"},
-            )
-            self._push(check)
-            return check
-        return self._finish_row(spec, measured, params, table, overrides)
+        check = BoundCheck(
+            spec=spec.name,
+            theorem=spec.theorem,
+            kind="row",
+            status="skipped",
+            table=table,
+            measured=measured,
+            detail={"reason": reason},
+        )
+        self._push(check)
+        return check
 
     def _finish_row(
         self,
@@ -482,17 +404,9 @@ class BoundMonitor:
     ) -> BoundCheck:
         missing = [key for key in spec.requires if key not in params]
         if missing:
-            check = BoundCheck(
-                spec=spec.name,
-                theorem=spec.theorem,
-                kind="row",
-                status="skipped",
-                table=table,
-                measured=measured,
-                detail={"reason": f"missing params {missing}"},
+            return self._skip(
+                spec, table, f"missing params {missing}", measured
             )
-            self._push(check)
-            return check
         numeric = {
             key: float(value)
             for key, value in params.items()
@@ -503,8 +417,8 @@ class BoundMonitor:
             "slack": spec.slack,
             "formula": spec.formula,
         }
-        # SpaceBoundSpec quantities arrive in bytes while the envelope
-        # prices bits: rescale before comparing so measured / predicted /
+        # SpaceBoundSpec columns hold bytes while the envelope prices
+        # bits: rescale before comparing so measured / predicted /
         # ratio stay unit-consistent, keeping the raw value in the event.
         scale = getattr(spec, "scale", 1.0)
         if scale != 1.0:
@@ -685,12 +599,11 @@ def active() -> bool:
 def observe_row(
     bounds: Sequence[BoundRef],
     params: Mapping[str, Any],
-    metrics: Optional[Mapping[str, float]] = None,
     table: Optional[str] = None,
 ) -> None:
     """Fan one row observation out to every installed monitor."""
     for monitor in _MONITORS:
-        monitor.observe_row(bounds, params, metrics=metrics, table=table)
+        monitor.observe_row(bounds, params, table=table)
 
 
 @contextmanager

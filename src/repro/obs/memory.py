@@ -23,9 +23,10 @@ instruments that share one lifecycle:
   measured-bytes/theoretical-bits ratio), and the shared-memory
   :class:`~repro.parallel.shmipc.ResultArena`.
 * :func:`register_space_bounds` — :class:`~repro.obs.bounds.
-  SpaceBoundSpec` companions of the Thm 1.1 / 1.2 / 1.3 bit envelopes,
-  certifying *measured* bytes (scaled to bits) with the same slack
-  semantics as the existing bit-bound checks.  ``run_all --memory
+  SpaceBoundSpec` entries for the Thm 1.1 / 1.2 / 1.3 envelopes,
+  certifying the *measured* bytes a table prints (``sketch_bytes`` in
+  E1b/E2b, ``oracle_bytes`` in E3/E3b, scaled to bits) with the same
+  slack semantics as the bit-bound checks.  ``run_all --memory
   --strict-bounds`` enforces them.
 
 Everything lands in the normal telemetry flow as ``memory`` events
@@ -507,9 +508,8 @@ def observe_footprint(
     and an ``is None`` branch.  Each object is measured at most once
     (weak-ref dedup), the measured bytes feed the ``metric`` histogram
     (default ``memory.sketch_bytes`` for sketches,
-    ``memory.<structure>_bytes`` otherwise — what the
-    :class:`~repro.obs.bounds.SpaceBoundSpec` checks read from the row
-    delta), and one ``memory``/``footprint`` event is emitted.
+    ``memory.<structure>_bytes`` otherwise), and one
+    ``memory``/``footprint`` event is emitted.
     """
     profiler = _ACTIVE
     if profiler is None:
@@ -548,79 +548,65 @@ def _thm13_space_envelope(p: Mapping[str, float]) -> float:
     return 2.0 * p["m"] * (2.0 * max(1.0, math.ceil(math.log2(n))) + 32.0)
 
 
-#: Space companions keyed by the bit-bound spec each one rides along
-#: with: whenever a table row is checked against the base spec, the
-#: companion checks the *measured* bytes of the same row.
+#: Measured-space specs, each reading a byte column that its tables
+#: print only while a memory profiler runs.
 SPACE_SPECS = (
-    (
-        "thm11.sketch_bits",
-        _bounds.SpaceBoundSpec(
-            name="thm11.space_bytes",
-            theorem="Thm 1.1",
-            quantity="metric:memory.sketch_bytes.mean",
-            direction="lower",
-            predicted=_bounds._thm11_envelope,
-            formula="n*sqrt(beta)/eps",
-            slack=8.0,
-            # No exponent fit: python object overhead swamps the
-            # asymptotic constant at simulation sizes (the thm57
-            # precedent), so only the per-row envelope check is
-            # meaningful for measured bytes.
-            sweep=None,
-            requires=("n", "beta", "eps"),
-        ),
+    _bounds.SpaceBoundSpec(
+        name="thm11.space_bytes",
+        theorem="Thm 1.1",
+        column="sketch_bytes",
+        direction="lower",
+        predicted=_bounds._thm11_envelope,
+        formula="n*sqrt(beta)/eps",
+        slack=8.0,
+        # No exponent fit: python object overhead swamps the asymptotic
+        # constant at simulation sizes (the thm57 precedent), so only
+        # the per-row envelope check is meaningful for measured bytes.
+        sweep=None,
+        requires=("n", "beta", "eps"),
     ),
-    (
-        "thm12.sketch_bits",
-        _bounds.SpaceBoundSpec(
-            name="thm12.space_bytes",
-            theorem="Thm 1.2",
-            quantity="metric:memory.sketch_bytes.mean",
-            direction="lower",
-            predicted=_bounds._thm12_envelope,
-            formula="n*beta/eps^2",
-            slack=8.0,
-            sweep=None,
-            requires=("n", "beta", "eps"),
-        ),
+    _bounds.SpaceBoundSpec(
+        name="thm12.space_bytes",
+        theorem="Thm 1.2",
+        column="sketch_bytes",
+        direction="lower",
+        predicted=_bounds._thm12_envelope,
+        formula="n*beta/eps^2",
+        slack=8.0,
+        sweep=None,
+        requires=("n", "beta", "eps"),
     ),
-    (
-        "thm13.queries",
-        _bounds.SpaceBoundSpec(
-            name="thm13.space_bytes",
-            theorem="Thm 1.3",
-            quantity="metric:memory.graph_bytes.mean",
-            direction="upper",
-            predicted=_thm13_space_envelope,
-            formula="2m*(2*ceil(log2 n)+32)",
-            slack=128.0,
-            sweep=None,
-            requires=("n", "m"),
-        ),
+    _bounds.SpaceBoundSpec(
+        name="thm13.space_bytes",
+        theorem="Thm 1.3",
+        column="oracle_bytes",
+        direction="upper",
+        predicted=_thm13_space_envelope,
+        formula="2m*(2*ceil(log2 n)+32)",
+        slack=128.0,
+        sweep=None,
+        requires=("n", "m"),
     ),
 )
 
 
 def register_space_bounds() -> None:
-    """Register the measured-space specs and their companion links.
+    """Register the measured-space specs.
 
     Idempotent; ``run_all --memory`` calls this before SLO parsing so
     ``bound:*`` wildcards expand over the space specs too.
     """
-    for base, spec in SPACE_SPECS:
+    for spec in SPACE_SPECS:
         _bounds.register(spec, replace=True)
-        _bounds.register_companion(base, spec.name)
 
 
 def unregister_space_bounds() -> None:
-    """Remove the space specs and companion links (absent is a no-op).
+    """Remove the space specs (absent is a no-op).
 
-    ``run_all`` restores the registry in its teardown so later
-    in-process runs without ``--memory`` see the pre-run spec set
-    (the bench harness invokes ``main()`` repeatedly).
+    ``run_all`` restores the registry on every exit so later in-process
+    runs without ``--memory`` see the pre-run spec set.
     """
-    for base, spec in SPACE_SPECS:
-        _bounds.unregister_companion(base, spec.name)
+    for spec in SPACE_SPECS:
         _bounds.unregister(spec.name)
 
 

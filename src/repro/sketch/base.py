@@ -104,8 +104,7 @@ class CutSketch(ABC):
         memory profiler the sketch's *measured* resident bytes ride
         along (once per instance) as a ``memory.sketch_bytes``
         observation plus a footprint event carrying the
-        measured-bytes/theoretical-bits ratio — the quantity the
-        Thm 1.1/1.2 space companions certify (:mod:`repro.obs.memory`).
+        measured-bytes/theoretical-bits ratio (:mod:`repro.obs.memory`).
         """
         if _OBS.enabled:
             _obs_observe("sketch.size_bits", bits)

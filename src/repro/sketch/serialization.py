@@ -20,11 +20,11 @@ dict load factors, numpy buffers) is measured — not guessed — by
 reports resident bytes next to the theoretical
 :meth:`~repro.sketch.base.Sketch.size_bits` so every footprint carries
 a measured-bytes/theoretical-bits ratio (``run_all --memory``).  The
-two never substitute for each other: bound certification against
-Thm 1.1/1.2 envelopes uses these bit costs; the
-:class:`repro.obs.bounds.SpaceBoundSpec` companions certify the
-measured bytes against the same envelopes with their own declared
-slack.
+two never substitute for each other: the Thm 1.1/1.2 bit bounds
+certify the tables' ``mean_bits`` column, priced by these bit costs;
+the :class:`repro.obs.bounds.SpaceBoundSpec` entries certify their
+``sketch_bytes`` column against the same envelopes with their own
+declared slack.
 """
 
 from __future__ import annotations

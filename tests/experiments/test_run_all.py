@@ -132,7 +132,7 @@ def fake_experiment(monkeypatch, scratch_bound_registry):
         BoundSpec(
             name="test.cli",
             theorem="Thm T",
-            quantity="value:queries",
+            column="queries",
             direction="upper",
             predicted=lambda p: 10.0,
             formula="10",
@@ -193,6 +193,69 @@ class TestStrictBounds:
         code = main(["e0test", "--strict-bounds", "--no-telemetry"])
         assert code == EXIT_BOUND_VIOLATION
         assert "Bound certification" in capsys.readouterr().out
+
+
+class TestCertificationReadsPrintedColumns:
+    def test_sketch_bits_certified_without_telemetry(self, capsys):
+        assert main(["e1", "e2", "--no-telemetry"]) == 0
+        plain = capsys.readouterr().out
+        assert "skipped" not in plain
+        for spec in ("thm11.sketch_bits", "thm12.sketch_bits"):
+            passes = [
+                line for line in plain.splitlines()
+                if line.startswith(f"bound_check {spec} ") and " pass:" in line
+            ]
+            assert len(passes) == 3
+        assert "bound_fit thm11.sketch_bits [Thm 1.1] pass: exponent -2.076" in plain
+        assert "bound_fit thm12.sketch_bits [Thm 1.2] pass: exponent -4.152" in plain
+        assert main(["e1", "e2", "--no-telemetry", "--strict-bounds"]) == 0
+        assert capsys.readouterr().out == plain
+
+    def test_memory_certifies_every_e3_row_on_its_own_oracle(self, capsys):
+        assert main(
+            ["e3", "--no-telemetry", "--memory=sample", "--strict-bounds"]
+        ) == 0
+        out = capsys.readouterr().out
+        space = [
+            line for line in out.splitlines()
+            if line.startswith("bound_check thm13.space_bytes ")
+        ]
+        assert len(space) == 8
+        assert all(" pass:" in line for line in space)
+        assert out.count("oracle_bytes") == 2  # the E3 and E3b headers
+
+
+def _space_specs_registered():
+    from repro.obs.memory import SPACE_SPECS
+
+    names = {spec.name for spec in bounds.registered_specs()}
+    return [spec.name for spec in SPACE_SPECS if spec.name in names]
+
+
+class TestEarlyExitsLeaveNothing:
+    def test_malformed_slo_keeps_the_telemetry_file(self, tmp_path, capsys):
+        path = tmp_path / "t.jsonl"
+        path.write_text('{"event": "summary"}\n')
+        with pytest.raises(SystemExit) as excinfo:
+            main(["e7", "--telemetry", str(path), "--slo=widget:a<=1"])
+        assert excinfo.value.code == 2
+        assert path.read_text() == '{"event": "summary"}\n'
+
+    def test_malformed_slo_unregisters_the_space_specs(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["e7", "--no-telemetry", "--memory=sample",
+                  "--slo=widget:a<=1"])
+        assert excinfo.value.code == 2
+        assert _space_specs_registered() == []
+
+    def test_unopenable_sink_unregisters_the_space_specs(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "no_such_dir" / "t.jsonl"
+        assert main(
+            ["e7", "--memory=sample", "--telemetry", str(path)]
+        ) == EXIT_TELEMETRY_FAILURE
+        assert _space_specs_registered() == []
 
 
 class TestFailureIsolation:

@@ -20,7 +20,7 @@ def _spec(**overrides):
     base = dict(
         name="test.spec",
         theorem="Thm T",
-        quantity="value:queries",
+        column="queries",
         direction="upper",
         predicted=lambda p: p["m"] / p["eps"],
         formula="m/eps",
@@ -48,10 +48,6 @@ class TestBoundSpec:
     def test_slack_below_one_rejected(self):
         with pytest.raises(ObsError):
             _spec(slack=0.5)
-
-    def test_quantity_prefix_validated(self):
-        with pytest.raises(ObsError):
-            _spec(quantity="queries")
 
     def test_lower_semantics(self):
         spec = _spec(direction="lower")
@@ -150,33 +146,18 @@ class TestBoundMonitor:
         assert check.table == "T"
         assert check.measured == 120.0
 
-    def test_observe_row_metric_quantities(self, scratch_registry):
-        register(
-            _spec(name="test.counter", quantity="metric:oracle.calls")
-        )
-        register(
-            _spec(name="test.hist", quantity="metric:sketch.bits.mean")
-        )
-        monitor = BoundMonitor(emit_events=False)
-        params = {"m": 1000.0, "eps": 1.0}
-        metrics = {
-            "oracle.calls": 40.0,
-            "sketch.bits.count": 4,
-            "sketch.bits.sum": 200.0,
-        }
-        c1, c2 = monitor.observe_row(
-            ["test.counter", "test.hist"], params, metrics=metrics
-        )
-        assert c1.measured == 40.0
-        assert c2.measured == 50.0
-
-    def test_metric_quantity_without_metrics_skips(self, scratch_registry):
-        register(_spec(name="test.nom", quantity="metric:absent"))
+    def test_row_without_the_column_skips(self, scratch_registry):
+        register(_spec(name="test.absent", column="mean_bits"))
         monitor = BoundMonitor(emit_events=False)
         (check,) = monitor.observe_row(
-            ["test.nom"], {"m": 1.0, "eps": 1.0}, metrics=None
+            ["test.absent"], {"queries": 5.0, "m": 1.0, "eps": 1.0}
         )
         assert check.status == "skipped"
+        assert check.measured is None
+        assert "'mean_bits'" in check.detail["reason"]
+        assert monitor.summary_lines() == [
+            f"bound_check test.absent skipped: {check.detail['reason']}"
+        ]
 
     def test_finish_fits_sweep_exponent(self, scratch_registry):
         register(

@@ -246,7 +246,7 @@ class TestSpaceBounds:
         spec = SpaceBoundSpec(
             name="tmp.space_bytes",
             theorem="T",
-            quantity="value:bytes",
+            column="bytes",
             direction="upper",
             predicted=lambda p: 10_000.0,
             formula="const",
@@ -268,41 +268,66 @@ class TestSpaceBounds:
         memory.register_space_bounds()
         memory.register_space_bounds()
         names = [s.name for s in obs_bounds.registered_specs()]
-        for _, spec in memory.SPACE_SPECS:
+        for spec in memory.SPACE_SPECS:
             assert names.count(spec.name) == 1
-        assert (
-            obs_bounds.companions_of("thm11.sketch_bits")
-            == ("thm11.space_bytes",)
-        )
         memory.unregister_space_bounds()
-        assert obs_bounds.companions_of("thm11.sketch_bits") == ()
         assert "thm11.space_bytes" not in [
             s.name for s in obs_bounds.registered_specs()
         ]
-
-    def test_companion_checks_ride_the_base_row(self):
-        memory.register_space_bounds()
-        monitor = BoundMonitor()
-        checks = monitor.observe_row(
-            ["thm11.sketch_bits"],
-            {"n": 8, "beta": 1.0, "eps": 0.25},
-            metrics={
-                "sketch.size_bits.sum": 4096.0,
-                "sketch.size_bits.count": 4,
-                "memory.sketch_bytes.sum": 40_000.0,
-                "memory.sketch_bytes.count": 4,
-            },
-        )
-        by_spec = {c.spec: c for c in checks}
-        assert by_spec["thm11.sketch_bits"].status == "pass"
-        space = by_spec["thm11.space_bytes"]
-        assert space.status == "pass"
-        assert space.measured == pytest.approx(10_000.0 * 8)
 
     def test_thm13_envelope_grows_with_edges(self):
         small = memory._thm13_space_envelope({"n": 16, "m": 40})
         large = memory._thm13_space_envelope({"n": 16, "m": 80})
         assert large == pytest.approx(2 * small)
+
+
+def _play_index_game(jobs):
+    from repro.foreach_lb.game import run_index_game
+    from repro.foreach_lb.params import ForEachParams
+    from repro.sketch.exact import ExactCutSketch
+
+    params = ForEachParams(inv_eps=4, sqrt_beta=1, num_groups=2)
+    return run_index_game(
+        params, lambda g, r: ExactCutSketch(g), rounds=3, rng=4, jobs=jobs
+    )
+
+
+def _play_gap_hamming_game(jobs):
+    from repro.forall_lb.game import run_gap_hamming_game
+    from repro.forall_lb.params import ForAllParams
+    from repro.sketch.exact import ExactCutSketch
+
+    params = ForAllParams(inv_eps_sq=4, beta=1, num_groups=2)
+    return run_gap_hamming_game(
+        params, lambda g, r: ExactCutSketch(g), rounds=3, rng=4, jobs=jobs
+    )
+
+
+@pytest.mark.parametrize("play", [_play_index_game, _play_gap_hamming_game])
+class TestGameSketchBytes:
+    def test_mean_equals_the_size_bits_footprints(self, play):
+        with obs.enabled(ListSink()), profiling() as profiler:
+            result = play(jobs=1)
+        measured = [
+            f["measured_bytes"]
+            for f in profiler.footprints
+            if f["structure"] == "sketch"
+        ]
+        assert len(measured) == 3  # one sketch per round
+        assert result.mean_sketch_bytes == sum(measured) / len(measured)
+
+    def test_none_without_a_profiler(self, play):
+        assert play(jobs=1).mean_sketch_bytes is None
+
+    def test_equal_at_jobs_1_and_2(self, play):
+        from repro.parallel import fork_available
+
+        if not fork_available():
+            pytest.skip("platform lacks the fork start method")
+        with profiling():
+            serial = play(jobs=1).mean_sketch_bytes
+            parallel = play(jobs=2).mean_sketch_bytes
+        assert serial is not None and serial == parallel
 
 
 class TestSloMemoryRules:

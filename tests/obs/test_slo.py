@@ -291,7 +291,7 @@ class TestWildcardAgainstScratchRegistry:
     def test_expansion_follows_the_registry(self, scratch_bound_registry):
         obs_bounds._REGISTRY.clear()
         obs_bounds.register(BoundSpec(
-            name="test.spec", theorem="Thm T", quantity="value:q",
+            name="test.spec", theorem="Thm T", column="q",
             direction="lower", predicted=lambda **kw: 1.0,
             formula="1", slack=1.0,
         ))
