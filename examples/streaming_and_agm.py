@@ -1,49 +1,20 @@
-"""Sketching graph streams: merge-and-reduce and AGM linear sketches.
+"""Sketching a turnstile graph stream with AGM linear sketches.
 
 Run with:  python examples/streaming_and_agm.py
 
 The paper's database motivation in one script: edges arrive as a stream
-(too many to store), and two different sketching regimes handle it —
-
-* insertion-only: a merge-and-reduce cut sparsifier keeps a bounded
-  number of resident edges while answering (1 +- eps) cut queries;
-* turnstile (inserts *and deletes*): AGM linear sketches of node
-  incidence vectors support spanning-forest extraction and a
-  k-connectivity certificate from O~(n) words, no matter how long the
-  stream is.
+of inserts *and deletes* (too many to store), and AGM linear sketches of
+node incidence vectors support spanning-forest extraction and a
+k-connectivity certificate from O~(n) words, no matter how long the
+stream is.
 """
 
-import numpy as np
-
-from repro.graphs import random_regularish_ugraph, stoer_wagner
+from repro.graphs import random_regularish_ugraph
 from repro.sketch import AGMSketch, certify_k_connectivity, sketch_spanning_forest
-from repro.streaming import StreamingCutSparsifier
-
-
-def insertion_only_demo() -> None:
-    print("--- insertion-only: merge-and-reduce cut sparsifier ---")
-    graph = random_regularish_ugraph(40, 24, rng=1)
-    # A moderately aggressive per-reduce accuracy makes the compression
-    # visible at toy scale (the default budget-splitting is cautious).
-    stream = StreamingCutSparsifier(
-        graph.nodes(), epsilon=0.5, block_size=80, rng=2,
-        connectivity="exact", step_epsilon=0.4, sampling_constant=0.6,
-    )
-    peak = 0
-    for u, v, w in graph.edges():
-        stream.insert(u, v, w)
-        peak = max(peak, stream.resident_edges)
-    final = stream.finish()
-    true_cut, _ = stoer_wagner(graph)
-    est_cut, _ = stoer_wagner(final)
-    print(f"stream length:   {stream.edges_seen} edges")
-    print(f"peak residency:  {peak} edges ({stream.reduce_count} reduces)")
-    print(f"final residency: {final.num_edges} edges")
-    print(f"min cut:         true {true_cut:.0f}, from sketch {est_cut:.1f}")
 
 
 def turnstile_demo() -> None:
-    print("\n--- turnstile: AGM linear sketches ---")
+    print("--- turnstile: AGM linear sketches ---")
     graph = random_regularish_ugraph(24, 8, rng=3)
     sketch = AGMSketch.of_graph(graph, seed=4)
     print(f"graph: n={graph.num_nodes}, m={graph.num_edges}")
@@ -71,7 +42,6 @@ def turnstile_demo() -> None:
 
 
 def main() -> None:
-    insertion_only_demo()
     turnstile_demo()
 
 

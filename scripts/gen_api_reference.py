@@ -38,11 +38,10 @@ The snapshot's batch kernels evaluate many cuts per call:
 | `out_weight_vector()` etc. | per-node degree/weight/imbalance vectors |
 | `max_flow(s, t)` | integer-indexed Dinic over residual arcs built from the snapshot |
 
-Consumers: `all_directed_cut_values(engine="csr")` (default; the
-`"dict"` engine is the reference implementation), sketch `query_many`
-batch probes, sketch `query_rows` (membership rows over another
-snapshot's labels, mapped by `reindex_membership`), the lower-bound
-decoders' cut-probe loops, and
+Consumers: the cut enumerations (`all_directed_cut_values`,
+`all_undirected_cut_values`), sketch `query_many` batch probes, sketch
+`query_rows` (membership rows over another snapshot's labels, mapped by
+`reindex_membership`), the lower-bound decoders' cut-probe loops, and
 `balance.py`'s exact scans.  `batched_cut_weights(graph, sides)` is the
 one-call convenience wrapper.  Equivalence with the dict path is
 property-tested in `tests/graphs/test_csr_equivalence.py`; timings are
@@ -147,11 +146,10 @@ enclosing span path)` — making the wire itself observable: the summed
 `bits` of a transcript reconcile *exactly* with the `comm.*` /
 `distributed.*` counters and `BitLedger` totals (zero-cost messages
 such as answers, decisions, and oracle query requests carry `bits=0`).
-Instrumentation sites (one-way protocol sends, `BitLedger.charge`, the
-foreach/forall games, distributed ship/query traffic, local-query
-oracle calls) call the module-level `capture.record(...)` hook, a
-two-branch no-op unless the global switch is on *and* a capture is
-installed via `capture.install(...)` / the `capturing(...)` context
+Instrumentation sites (`BitLedger.charge`, the foreach/forall games,
+distributed ship/query traffic, local-query oracle calls) call the
+module-level `capture.record(...)` hook, a two-branch no-op unless the
+global switch is on *and* a capture is installed via `capture.install(...)` / the `capturing(...)` context
 manager.  `payload_digest` hashes a canonical encoding
 (graphs digest as sorted edge lists, numpy scalars normalise through
 int/float) so transcripts from separate processes are byte-comparable;
@@ -298,7 +296,7 @@ frozen `CSRGraph` snapshots content-addressed by their graph oid in a
 measured-bytes LRU (`SnapshotCache`), coalesces concurrent
 `serve.cut_weight` requests into vectorized `cut_weights_stable` calls
 (`MicroBatcher`: row-count, depth-stable probe, and window triggers),
-and answers for-all sketch queries and Theorem 5.7 shard ops.  Because
+and answers exact min-cut and for-all sketch queries.  Because
 the kernel is row-stable, batching never changes response bytes —
 `tests/serving/test_server.py` checks this across batch settings, and
 perfbench's `serve_read`/`serve_mixed` workloads check every served
@@ -316,7 +314,6 @@ PACKAGES = [
     "repro.linalg",
     "repro.comm",
     "repro.sketch",
-    "repro.streaming",
     "repro.foreach_lb",
     "repro.forall_lb",
     "repro.localquery",

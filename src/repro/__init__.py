@@ -5,7 +5,7 @@ Subpackage map
 --------------
 ``repro.graphs``      graph engine, flows, min cuts, balance, generators
 ``repro.linalg``      Hadamard matrices, the Lemma 3.2 tensor-row matrix
-``repro.comm``        one-way protocols; Index, Gap-Hamming, 2-SUM samplers
+``repro.comm``        bit ledgers; Gap-Hamming and 2-SUM samplers
 ``repro.sketch``      cut-sketch interface, noisy oracles, sparsifiers
 ``repro.foreach_lb``  Theorem 1.1 game (for-each lower bound)
 ``repro.forall_lb``   Theorem 1.2 game (for-all lower bound)
@@ -33,12 +33,10 @@ from repro.sketch import (
     ExactCutSketch,
     NoisyForAllSketch,
     NoisyForEachSketch,
-    QuantizedCutSketch,
     SketchModel,
     SparsifierSketch,
     SpectralSketch,
 )
-from repro.streaming import StreamingCutSparsifier
 from repro.foreach_lb import ForEachDecoder, ForEachEncoder, ForEachParams, run_index_game
 from repro.forall_lb import ForAllDecoder, ForAllEncoder, ForAllParams, run_gap_hamming_game
 from repro.localquery import (
@@ -69,12 +67,10 @@ __all__ = [
     "GraphOracle",
     "NoisyForAllSketch",
     "NoisyForEachSketch",
-    "QuantizedCutSketch",
     "Server",
     "SketchModel",
     "SparsifierSketch",
     "SpectralSketch",
-    "StreamingCutSparsifier",
     "UGraph",
     "brute_force_min_cut",
     "build_gxy",

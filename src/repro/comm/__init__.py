@@ -1,18 +1,6 @@
-"""Communication-complexity substrate: protocols and problem samplers."""
+"""Communication-complexity substrate: bit ledgers and problem samplers."""
 
-from repro.comm.protocol import (
-    BitLedger,
-    Message,
-    OneWayProtocol,
-    ProtocolRun,
-    run_protocol,
-)
-from repro.comm.index_problem import (
-    IndexInstance,
-    SendEverythingIndexProtocol,
-    TruncatingIndexProtocol,
-    sample_index_instance,
-)
+from repro.comm.protocol import BitLedger
 from repro.comm.gap_hamming import (
     GAP_CONSTANT,
     GapCase,
@@ -36,22 +24,14 @@ __all__ = [
     "BitLedger",
     "GapCase",
     "GapHammingInstance",
-    "IndexInstance",
     "MIN_INTERSECTING_FRACTION",
-    "Message",
-    "OneWayProtocol",
-    "ProtocolRun",
-    "SendEverythingIndexProtocol",
-    "TruncatingIndexProtocol",
     "TwoSumInstance",
     "concatenate_pairs",
     "distance_to_case",
     "gap_threshold",
     "intersection_case",
     "lift_instance",
-    "run_protocol",
     "sample_gap_hamming_instance",
-    "sample_index_instance",
     "sample_twosum_instance",
     "sample_unit_pair",
 ]

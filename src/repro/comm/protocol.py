@@ -1,108 +1,22 @@
-"""One-way communication protocols with bit accounting.
+"""Bit accounting for the communication reductions.
 
-All three lower bounds in the paper are proved by reduction to a one-way
-communication problem: Alice holds an input, sends one message, and Bob
-must answer.  This module gives the executable shape of that game:
-
-* :class:`Message` — an immutable byte payload whose *bit* length is the
-  quantity the lower bounds measure;
-* :class:`OneWayProtocol` — the Alice/Bob interface;
-* :func:`run_protocol` — drives one round and returns the answer plus the
-  exact message size.
-
-For the local-query reduction (Lemma 5.6) the conversation is not one-way
-— Alice and Bob exchange 2 bits per simulated oracle query — so
-:class:`BitLedger` tracks a running total that both directions append to.
+All three lower bounds in the paper are proved by reduction to a
+communication problem, and each is priced by the bits that cross the
+wire.  The one-way games measure Alice's message through the sketch's
+own ``size_bits()``; for the local-query reduction (Lemma 5.6) the
+conversation is not one-way — Alice and Bob exchange 2 bits per
+simulated oracle query — so :class:`BitLedger` tracks a running total
+that both directions append to.
 """
 
 from __future__ import annotations
 
-import pickle
-from abc import ABC, abstractmethod
-from dataclasses import dataclass
-from typing import Any, Collection, Generic, TypeVar
+from typing import Any, Collection
 
 from repro.errors import ProtocolError
 from repro.obs import STATE as _OBS
 from repro.obs import capture as _capture
 from repro.obs import count as _obs_count
-from repro.obs import span as _obs_span
-
-AliceInput = TypeVar("AliceInput")
-BobInput = TypeVar("BobInput")
-Answer = TypeVar("Answer")
-
-
-@dataclass(frozen=True)
-class Message:
-    """A one-shot message from Alice to Bob."""
-
-    payload: bytes
-
-    @property
-    def bits(self) -> int:
-        """Size of the message in bits — the lower bounds' currency."""
-        return 8 * len(self.payload)
-
-    @staticmethod
-    def from_object(obj: Any) -> "Message":
-        """Serialize an arbitrary object.
-
-        Pickle is a loose upper bound on the information content; the
-        sketch layer provides tighter, purpose-built serializers where
-        the byte count matters to an experiment.
-        """
-        return Message(payload=pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL))
-
-    def to_object(self) -> Any:
-        """Inverse of :meth:`from_object`."""
-        return pickle.loads(self.payload)
-
-
-class OneWayProtocol(ABC, Generic[AliceInput, BobInput, Answer]):
-    """Alice computes one message; Bob answers from it and his input."""
-
-    @abstractmethod
-    def alice(self, alice_input: AliceInput) -> Message:
-        """Alice's side: compress her input into a single message."""
-
-    @abstractmethod
-    def bob(self, message: Message, bob_input: BobInput) -> Answer:
-        """Bob's side: answer his query given only Alice's message."""
-
-
-@dataclass
-class ProtocolRun(Generic[Answer]):
-    """Outcome of one protocol execution."""
-
-    answer: Answer
-    message_bits: int
-
-
-def run_protocol(
-    protocol: OneWayProtocol[AliceInput, BobInput, Answer],
-    alice_input: AliceInput,
-    bob_input: BobInput,
-) -> ProtocolRun[Answer]:
-    """Run one round of a one-way protocol, accounting message size.
-
-    The message size lands in the ``comm.message_bits`` counter (and the
-    round in ``comm.messages``) when telemetry is enabled, under the
-    same namespace the ledgers and sketch sizes report to.
-    """
-    with _obs_span("comm.run_protocol", protocol=type(protocol).__name__):
-        message = protocol.alice(alice_input)
-        if not isinstance(message, Message):
-            raise ProtocolError("alice() must return a Message")
-        if _OBS.enabled:
-            _obs_count("comm.messages")
-            _obs_count("comm.message_bits", message.bits)
-            _capture.record(
-                "alice", "bob", "oneway.message", message.bits,
-                payload=message.payload,
-            )
-        answer = protocol.bob(message, bob_input)
-    return ProtocolRun(answer=answer, message_bits=message.bits)
 
 
 class BitLedger:
@@ -115,8 +29,7 @@ class BitLedger:
     Backed by a private obs :class:`~repro.obs.metrics.MetricsRegistry`
     (always on — wire bits are the measured quantity of the reductions);
     each charge is mirrored into the global ``comm.wire_bits`` /
-    ``comm.wire_charges`` counters when telemetry is enabled, the same
-    namespace ``run_protocol`` and ``size_bits()`` report under.
+    ``comm.wire_charges`` counters when telemetry is enabled.
     """
 
     __slots__ = ("registry", "_bits", "_charges", "sender", "receiver")

@@ -25,11 +25,7 @@ duck-typed over its servers; any object exposing
   ``(quantized_value, bits_charged)``
 
 participates in the protocol unchanged.  :class:`Server` is the
-in-process implementation; :class:`repro.serving.remote.RemoteShard`
-implements the same surface over a TCP connection to a serving daemon,
-which is how the Theorem 5.7 protocol runs across real processes with
-byte-identical transcripts (the rng state ships with the request, so a
-remote shard draws the same samples the local one would).
+in-process implementation.
 """
 
 from __future__ import annotations

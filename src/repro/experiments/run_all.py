@@ -95,7 +95,6 @@ from repro.obs import (
     STATE as OBS_STATE,
     JsonlSink,
     SpanProfiler,
-    disable as obs_disable,
     enable as obs_enable,
     event as obs_event,
     reset_metrics,
@@ -428,6 +427,9 @@ def main(argv: Optional[List[str]] = None) -> int:
             _restore()
             return EXIT_TELEMETRY_FAILURE
         print(f"telemetry sink: {os.path.abspath(sink.path)}")
+    # An in-process caller may have its own switch and sink on; both
+    # come back as they were when the run ends.
+    caller_obs = (OBS_STATE.enabled, OBS_STATE.sink)
     if use_obs:
         reset_metrics()
         OBS_STATE.sink = sink  # None drops events; metrics still record
@@ -451,14 +453,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         if bus is not None:
             obs_live.uninstall(bus)
 
+    def _obs_teardown() -> None:
+        if use_obs:
+            OBS_STATE.enabled, OBS_STATE.sink = caller_obs
+        if sink is not None:
+            sink.close()
+
     def _setup_abort() -> None:
         """Unwind everything a failed live-setup step left behind."""
         _live_teardown()
-        if sink is not None:
-            sink.close()
-            OBS_STATE.sink = None
-        if use_obs:
-            obs_disable()
+        _obs_teardown()
         _restore()
 
     if live_on:
@@ -600,11 +604,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             obs_capture.uninstall(capture)
         if capture_sink is not None:
             capture_sink.close()
-        if use_obs:
-            obs_disable()
-        if sink is not None:
-            sink.close()
-            OBS_STATE.sink = None
+        _obs_teardown()
 
     if monitor.checks:
         print("\n== Bound certification ==")

@@ -12,12 +12,6 @@ from repro.forall_lb.game import (
     SketchFactory,
     run_gap_hamming_game,
 )
-from repro.forall_lb.protocol import (
-    GapHammingQuery,
-    SketchedGraphGapHammingProtocol,
-    deserialize_forall_graph,
-    serialize_forall_graph,
-)
 
 __all__ = [
     "DEFAULT_ENUMERATION_LIMIT",
@@ -27,10 +21,6 @@ __all__ = [
     "ForAllEncoder",
     "ForAllParams",
     "GapHammingGameResult",
-    "GapHammingQuery",
     "SketchFactory",
-    "SketchedGraphGapHammingProtocol",
-    "deserialize_forall_graph",
     "run_gap_hamming_game",
-    "serialize_forall_graph",
 ]

@@ -4,12 +4,6 @@ from repro.foreach_lb.params import ForEachParams
 from repro.foreach_lb.encoder import DEFAULT_C1, EncodedGraph, ForEachEncoder
 from repro.foreach_lb.decoder import CutQueryPlan, ForEachDecoder
 from repro.foreach_lb.game import IndexGameResult, SketchFactory, run_index_game
-from repro.foreach_lb.protocol import (
-    IndexQuery,
-    SketchedGraphIndexProtocol,
-    deserialize_construction_graph,
-    serialize_construction_graph,
-)
 
 __all__ = [
     "CutQueryPlan",
@@ -19,10 +13,6 @@ __all__ = [
     "ForEachEncoder",
     "ForEachParams",
     "IndexGameResult",
-    "IndexQuery",
     "SketchFactory",
-    "SketchedGraphIndexProtocol",
-    "deserialize_construction_graph",
     "run_index_game",
-    "serialize_construction_graph",
 ]

@@ -39,24 +39,6 @@ from repro.graphs.balance import (
 )
 from repro.graphs.gomory_hu import GomoryHuTree, gomory_hu_tree
 from repro.graphs.karger_stein import karger_stein_min_cut
-from repro.graphs.cut_counting import (
-    CutProfile,
-    cut_profile,
-    near_minimum_counts,
-)
-from repro.graphs.strong_components import (
-    condensation,
-    strongly_connected_components,
-    unbalanced_witness,
-)
-from repro.graphs.io import (
-    dump_edges,
-    load_digraph,
-    load_ugraph,
-    read_digraph,
-    read_ugraph,
-    write_graph,
-)
 from repro.graphs.generators import (
     complete_bipartite_digraph,
     cycle_digraph,
@@ -82,12 +64,8 @@ __all__ = [
     "brute_force_min_cut",
     "certify_pairwise_connectivity",
     "complete_bipartite_digraph",
-    "condensation",
-    "CutProfile",
-    "cut_profile",
     "cycle_digraph",
     "directed_global_min_cut",
-    "dump_edges",
     "edge_connectivity",
     "edge_disjoint_path_count",
     "edgewise_balance_bound",
@@ -99,26 +77,18 @@ __all__ = [
     "is_strongly_connected",
     "karger_min_cut",
     "karger_stein_min_cut",
-    "load_digraph",
-    "load_ugraph",
     "max_cut_error",
     "max_directed_cut_error",
     "max_flow",
     "max_flow_undirected",
     "min_st_cut",
     "most_unbalanced_cut",
-    "near_minimum_counts",
     "planted_min_cut_ugraph",
     "random_balanced_digraph",
     "random_connected_ugraph",
     "random_eulerian_digraph",
     "random_regularish_ugraph",
-    "read_digraph",
-    "read_ugraph",
     "sample_near_min_cuts",
     "stoer_wagner",
-    "strongly_connected_components",
     "symmetrize",
-    "unbalanced_witness",
-    "write_graph",
 ]

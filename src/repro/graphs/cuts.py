@@ -61,7 +61,7 @@ def _batched_cut_values(
 
     ``graph`` is any freezable graph (DiGraph or UGraph); the enumeration
     order of ``sides`` is preserved exactly, so consumers that break ties
-    by iteration order behave as with the dict path.
+    by iteration order see the order of ``sides``.
     """
     csr = graph.freeze()
     iterator = iter(sides)
@@ -76,46 +76,31 @@ def _batched_cut_values(
 
 def all_directed_cut_values(
     graph: DiGraph,
-    engine: str = "csr",
     batch_size: int = DEFAULT_CUT_BATCH,
 ) -> Iterator[Tuple[FrozenSet[Node], float]]:
     """Yield ``(S, w(S, V\\S))`` for every proper nonempty ``S``.
 
-    ``engine="csr"`` (default) batches cut evaluation through the frozen
-    snapshot's vectorized kernel; ``engine="dict"`` is the pure-Python
-    reference path the equivalence tests compare against.  Enumeration
-    order is identical in both engines.
+    Cut values come from the frozen snapshot's vectorized kernel,
+    ``batch_size`` cuts per call, in :func:`enumerate_cut_sides` order.
     """
-    sides = enumerate_cut_sides(graph.nodes())
-    if engine == "dict":
-        for side in sides:
-            yield side, graph.cut_weight(side)
-    elif engine == "csr":
-        yield from _batched_cut_values(graph, sides, batch_size)
-    else:
-        raise GraphError(f"unknown cut engine {engine!r}")
+    yield from _batched_cut_values(
+        graph, enumerate_cut_sides(graph.nodes()), batch_size
+    )
 
 
 def all_undirected_cut_values(
     graph: UGraph,
-    engine: str = "csr",
     batch_size: int = DEFAULT_CUT_BATCH,
 ) -> Iterator[Tuple[FrozenSet[Node], float]]:
     """Yield ``(S, w(S, V\\S))`` once per unordered cut.
 
-    Same engines as :func:`all_directed_cut_values`.
+    Evaluated like :func:`all_directed_cut_values`.
     """
     nodes = graph.nodes()
     if len(nodes) < 2:
         return
     sides = enumerate_cut_sides(nodes, pinned=nodes[0])
-    if engine == "dict":
-        for side in sides:
-            yield side, graph.cut_weight(side)
-    elif engine == "csr":
-        yield from _batched_cut_values(graph, sides, batch_size)
-    else:
-        raise GraphError(f"unknown cut engine {engine!r}")
+    yield from _batched_cut_values(graph, sides, batch_size)
 
 
 def brute_force_min_cut(graph: UGraph) -> Tuple[float, FrozenSet[Node]]:

@@ -23,13 +23,6 @@ from repro.localquery.mincut_query import (
     MinCutEstimate,
     estimate_min_cut,
 )
-from repro.localquery.baselines import (
-    BaselineResult,
-    exact_reconstruction_estimate,
-    minimum_degree_upper_bound,
-    reconstruct_graph,
-    uniform_edge_sample_estimate,
-)
 from repro.localquery.reduction import (
     MinCutAlgorithm,
     TwoSumViaMinCutResult,
@@ -39,7 +32,6 @@ from repro.localquery.reduction import (
 )
 
 __all__ = [
-    "BaselineResult",
     "CommOracle",
     "DEFAULT_SAMPLING_CONSTANT",
     "DEFAULT_SEARCH_ACCURACY",
@@ -59,13 +51,9 @@ __all__ = [
     "build_gxy",
     "build_instance_graph",
     "estimate_min_cut",
-    "exact_reconstruction_estimate",
     "fetch_degrees",
-    "minimum_degree_upper_bound",
-    "reconstruct_graph",
     "pad_to_square",
     "representative_figure_pairs",
     "solve_twosum_via_mincut",
-    "uniform_edge_sample_estimate",
     "verify_guess",
 ]

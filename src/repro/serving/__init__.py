@@ -13,8 +13,8 @@ socket:
   lands in the same transcripts as every other wire byte;
 * :mod:`repro.serving.cache` — content-addressed (graph-oid) snapshot
   cache, LRU-bounded by measured bytes, holding frozen
-  :class:`~repro.graphs.csr.CSRGraph` snapshots plus per-graph sketch
-  and shard state;
+  :class:`~repro.graphs.csr.CSRGraph` snapshots plus per-graph
+  sketches;
 * :mod:`repro.serving.batcher` — the performance core: an adaptive
   micro-batching scheduler that coalesces concurrent in-flight cut
   queries against one snapshot into single vectorized
@@ -24,12 +24,7 @@ socket:
   (``python -m repro.serving.server``) wired through the obs
   live/SLO/Prometheus stack;
 * :mod:`repro.serving.client` — sync and async clients sharing the
-  codec;
-* :mod:`repro.serving.remote` — :class:`RemoteShard`, the duck-typed
-  stand-in for :class:`repro.distributed.server.Server` that lets
-  :func:`repro.distributed.coordinator.distributed_min_cut` run its
-  Theorem 5.7 protocol across real processes, byte-identical to the
-  in-process simulation.
+  codec.
 """
 
 from repro.serving.batcher import MicroBatcher
@@ -43,14 +38,12 @@ from repro.serving.protocol import (
     graph_payload,
     side_mask,
 )
-from repro.serving.remote import RemoteShard, host_shards
 from repro.serving.server import SketchServer
 
 __all__ = [
     "AsyncServingClient",
     "Envelope",
     "MicroBatcher",
-    "RemoteShard",
     "ServingClient",
     "ServingError",
     "SketchServer",
@@ -59,6 +52,5 @@ __all__ = [
     "graph_from_payload",
     "graph_oid",
     "graph_payload",
-    "host_shards",
     "side_mask",
 ]

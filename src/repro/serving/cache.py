@@ -4,13 +4,11 @@ Registered graphs are keyed by their graph oid
 (:func:`repro.serving.protocol.graph_oid`, a content address of the
 payload), so re-registering an identical graph, from any client, lands
 on the same entry.  Each
-:class:`SnapshotEntry` holds the mutable graph (for exact min-cut and
-shard queries), its frozen :class:`~repro.graphs.csr.CSRGraph`
-snapshot (what the batched cut kernels run on), and lazily built
-derived objects: for-each :class:`~repro.sketch.sparsifier.
-SparsifierSketch` instances keyed by their full parameterisation, and
-a :class:`repro.distributed.server.Server` wrapper when the entry is
-hosted as a Theorem 5.7 shard.
+:class:`SnapshotEntry` holds the mutable graph (for exact min-cut
+queries), its frozen :class:`~repro.graphs.csr.CSRGraph` snapshot
+(what the batched cut kernels run on), and lazily built
+:class:`~repro.sketch.sparsifier.SparsifierSketch` instances keyed by
+their full parameterisation.
 
 The cache is LRU-bounded by *measured bytes*: every entry (and every
 sketch added to one) is priced with PR 9's
@@ -41,7 +39,7 @@ DEFAULT_CACHE_BYTES = 256 << 20
 class SnapshotEntry:
     """One registered graph: frozen snapshot plus derived state."""
 
-    __slots__ = ("oid", "graph", "csr", "index", "sketches", "server", "nbytes", "hits")
+    __slots__ = ("oid", "graph", "csr", "index", "sketches", "nbytes", "hits")
 
     def __init__(self, oid: str, graph, csr: CSRGraph):
         self.oid = oid
@@ -53,8 +51,6 @@ class SnapshotEntry:
         }
         #: (epsilon, constant, connectivity, seed/state digest) -> sketch.
         self.sketches: Dict[Tuple, Any] = {}
-        #: Lazily built distributed shard wrapper (undirected entries).
-        self.server = None
         self.nbytes = 0
         self.hits = 0
 
@@ -136,7 +132,7 @@ class SnapshotCache:
         return entry
 
     def add_sketch_bytes(self, entry: SnapshotEntry, obj: Any) -> None:
-        """Charge a derived object (sketch/shard server) to its entry."""
+        """Charge a derived object (a sketch) to its entry."""
         grew = deep_sizeof(obj)
         entry.nbytes += grew
         self.total_bytes += grew

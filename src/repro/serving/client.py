@@ -29,7 +29,6 @@ from repro.serving.protocol import (
     Envelope,
     ProtocolError,
     ServingError,
-    _json_label,
     capture_envelope,
     graph_oid,
     graph_payload,
@@ -187,43 +186,6 @@ class ServingClient(_ClientCore):
         if connectivity is not None:
             payload["connectivity"] = str(connectivity)
         return self.request("serve.sketch_query", payload)
-
-    def host_shard(self, name: str, shard_graph) -> Dict[str, Any]:
-        return self.request(
-            "serve.host_shard",
-            {"name": name, "graph": graph_payload(shard_graph)},
-        )
-
-    def shard_sketch(
-        self,
-        name: str,
-        epsilon: float,
-        rng_state: Dict[str, Any],
-        connectivity: Optional[str] = None,
-        sampling_constant: Optional[float] = None,
-    ) -> Dict[str, Any]:
-        return self.request(
-            "serve.shard_sketch",
-            {
-                "name": name,
-                "epsilon": float(epsilon),
-                "rng_state": rng_state,
-                "connectivity": connectivity,
-                "sampling_constant": sampling_constant,
-            },
-        )
-
-    def shard_cut(
-        self, name: str, side: Iterable[Any], precision: float
-    ) -> Dict[str, Any]:
-        return self.request(
-            "serve.shard_cut",
-            {
-                "name": name,
-                "side": sorted((_json_label(v) for v in side), key=repr),
-                "precision": float(precision),
-            },
-        )
 
     def stats(self) -> Dict[str, Any]:
         return self.request("serve.stats")

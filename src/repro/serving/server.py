@@ -13,11 +13,6 @@ queries over the :mod:`repro.serving.protocol` framing.  Request ops
 ``serve.min_cut``       ``{oid}`` -> exact global min cut of the snapshot
 ``serve.sketch_query``  ``{oid, mask, epsilon, seed, ...}`` -> sketch
                         estimate from a cached for-all sparsifier
-``serve.host_shard``    ``{name, graph}`` -> host a Thm 5.7 edge shard
-``serve.shard_sketch``  ``{name, epsilon, rng_state, ...}`` -> the
-                        shard's for-all sketch (sparse graph, ordered)
-``serve.shard_cut``     ``{name, side, precision}`` -> quantized cut
-                        response (value, bits) per the [ACK+16] pricing
 ``serve.stats``         cache / batcher / request statistics
 ``serve.shutdown``      acknowledge and stop the daemon
 ======================  ==================================================
@@ -90,13 +85,6 @@ def _seed(value: Any) -> int:
     return seed
 
 
-def _rng_from_state(state: Any) -> np.random.Generator:
-    """A generator resumed from the caller's shipped bit-generator state."""
-    rng = np.random.default_rng()
-    rng.bit_generator.state = state
-    return rng
-
-
 def _request_id(envelope) -> Optional[int]:
     """The client's correlation id, when the request carried one.
 
@@ -132,7 +120,6 @@ class SketchServer:
             on_flush=self._drain_reply_buffers,
         )
         self.requests = 0
-        self._shards: Dict[str, str] = {}  # shard name -> oid
         self._server: Optional[asyncio.AbstractServer] = None
         self._stopping: Optional[asyncio.Event] = None
         self._conn_tasks: set = set()
@@ -359,19 +346,12 @@ class SketchServer:
             return "serve.min_cut.ok", self._op_min_cut(payload)
         if op == "serve.sketch_query":
             return "serve.sketch_query.ok", self._op_sketch_query(payload)
-        if op == "serve.host_shard":
-            return "serve.host_shard.ok", self._op_host_shard(payload)
-        if op == "serve.shard_sketch":
-            return "serve.shard_sketch.ok", self._op_shard_sketch(payload)
-        if op == "serve.shard_cut":
-            return "serve.shard_cut.ok", self._op_shard_cut(payload)
         if op == "serve.stats":
             return "serve.stats.ok", {
                 "name": self.name,
                 "requests": self.requests,
                 "cache": self.cache.stats(),
                 "batcher": self.batcher.stats(),
-                "shards": sorted(self._shards),
             }
         if op == "serve.shutdown":
             return "serve.shutdown.ok", {"name": self.name}
@@ -473,68 +453,6 @@ class SketchServer:
             "value": float(sketch.query(side)),
             "size_bits": int(sketch.size_bits()),
         }
-
-    def _op_host_shard(self, payload) -> Dict[str, Any]:
-        from repro.distributed.server import Server as ShardServer
-
-        if not isinstance(payload, dict):
-            raise ServingError("serve.host_shard needs an object payload")
-        name = str(payload.get("name", ""))
-        if not name:
-            raise ServingError("serve.host_shard needs a shard name")
-        graph_data = payload.get("graph")
-        if not isinstance(graph_data, dict) or graph_data.get("directed"):
-            raise ServingError("serve.host_shard needs an undirected graph payload")
-        oid = graph_oid(graph_data)
-        if oid in self.cache:
-            entry = self.cache.get(oid)
-        else:
-            entry = self.cache.put(oid, graph_from_payload(graph_data))
-        if entry.server is None or entry.server.name != name:
-            entry.server = ShardServer(name, entry.graph)
-            self.cache.add_sketch_bytes(entry, entry.server)
-        self._shards[name] = oid
-        return {"oid": oid, "name": name, "edges": entry.graph.num_edges}
-
-    def _shard(self, payload):
-        if not isinstance(payload, dict):
-            raise ServingError("shard ops need an object payload")
-        name = str(payload.get("name", ""))
-        oid = self._shards.get(name)
-        if oid is None or oid not in self.cache:
-            raise ServingError(f"no hosted shard named {name!r}")
-        entry = self.cache.get(oid)
-        if entry.server is None:
-            raise ServingError(f"shard {name!r} lost its server wrapper")
-        return entry.server
-
-    def _op_shard_sketch(self, payload) -> Dict[str, Any]:
-        from repro.serving.protocol import graph_payload
-
-        shard = self._shard(payload)
-        epsilon = _field(payload, "epsilon", float)
-        rng = _field(payload, "rng_state", _rng_from_state)
-        kwargs: Dict[str, Any] = {}
-        if payload.get("connectivity") is not None:
-            kwargs["connectivity"] = str(payload["connectivity"])
-        if payload.get("sampling_constant") is not None:
-            kwargs["sampling_constant"] = _field(payload, "sampling_constant", float)
-        sketch = shard.forall_sketch(epsilon, rng=rng, **kwargs)
-        return {
-            "name": shard.name,
-            "epsilon": epsilon,
-            "graph": graph_payload(sketch.sparse),
-        }
-
-    def _op_shard_cut(self, payload) -> Dict[str, Any]:
-        shard = self._shard(payload)
-        side = payload.get("side")
-        if not isinstance(side, list):
-            raise ServingError("serve.shard_cut needs a side label list")
-        value, bits = shard.cut_value_response(
-            _field(payload, "side", set), _field(payload, "precision", float)
-        )
-        return {"name": shard.name, "value": float(value), "bits": int(bits)}
 
 
 # ----------------------------------------------------------------------

@@ -19,12 +19,6 @@ from repro.sketch.agm import (
     sketch_spanning_forest,
 )
 from repro.sketch.spectral import SpectralSketch, spectral_sparsify
-from repro.sketch.boosted import BoostedForEachSketch
-from repro.sketch.quantized import (
-    QuantizedCutSketch,
-    quantize_graph,
-    quantize_weight,
-)
 from repro.sketch.serialization import (
     DEFAULT_WEIGHT_BITS,
     edge_bits,
@@ -35,7 +29,6 @@ from repro.sketch.serialization import (
 __all__ = [
     "AGMSketch",
     "BalancedDigraphSparsifier",
-    "BoostedForEachSketch",
     "CutSketch",
     "DEFAULT_SAMPLING_CONSTANT",
     "DEFAULT_WEIGHT_BITS",
@@ -43,7 +36,6 @@ __all__ = [
     "L0Sampler",
     "certify_k_connectivity",
     "NoisyForAllSketch",
-    "QuantizedCutSketch",
     "NoisyForEachSketch",
     "SketchModel",
     "SparsifierSketch",
@@ -52,8 +44,6 @@ __all__ = [
     "graph_size_bits",
     "importance_sparsify",
     "node_id_bits",
-    "quantize_graph",
-    "quantize_weight",
     "sketch_connected",
     "sketch_connected_components",
     "sketch_spanning_forest",

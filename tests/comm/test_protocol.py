@@ -3,58 +3,9 @@
 import pytest
 
 from repro import obs
-from repro.comm.protocol import (
-    BitLedger,
-    Message,
-    OneWayProtocol,
-    run_protocol,
-)
+from repro.comm.protocol import BitLedger
 from repro.errors import ProtocolError
 from repro.obs.sink import ListSink
-
-
-class EchoProtocol(OneWayProtocol):
-    """Alice pickles her input; Bob returns element [bob_input]."""
-
-    def alice(self, alice_input):
-        return Message.from_object(alice_input)
-
-    def bob(self, message, bob_input):
-        return message.to_object()[bob_input]
-
-
-class BrokenProtocol(OneWayProtocol):
-    def alice(self, alice_input):
-        return b"raw bytes, not a Message"
-
-    def bob(self, message, bob_input):
-        return None
-
-
-class TestMessage:
-    def test_bits_counts_payload(self):
-        assert Message(payload=b"ab").bits == 16
-        assert Message(payload=b"").bits == 0
-
-    def test_object_roundtrip(self):
-        msg = Message.from_object({"a": [1, 2, 3]})
-        assert msg.to_object() == {"a": [1, 2, 3]}
-
-    def test_immutable(self):
-        msg = Message(payload=b"x")
-        with pytest.raises(AttributeError):
-            msg.payload = b"y"
-
-
-class TestRunProtocol:
-    def test_answer_and_bits(self):
-        run = run_protocol(EchoProtocol(), ["p", "q", "r"], 1)
-        assert run.answer == "q"
-        assert run.message_bits > 0
-
-    def test_non_message_rejected(self):
-        with pytest.raises(ProtocolError):
-            run_protocol(BrokenProtocol(), None, None)
 
 
 class TestBitLedger:
@@ -124,15 +75,3 @@ class TestObsRouting:
         assert snap["comm.wire_bits"] == 8
         assert snap["comm.wire_charges"] == 2
         assert ledger.total_bits == 8
-
-    def test_run_protocol_counts_message_bits(self):
-        obs.reset_metrics()
-        with obs.enabled(ListSink()) as sink:
-            run = run_protocol(EchoProtocol(), ["p", "q"], 0)
-        snap = obs.snapshot()
-        obs.reset_metrics()
-        assert snap["comm.messages"] == 1
-        assert snap["comm.message_bits"] == run.message_bits
-        (span_record,) = sink.of_kind("span")
-        assert span_record["name"] == "comm.run_protocol"
-        assert span_record["attrs"]["protocol"] == "EchoProtocol"

@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from repro import obs
 from repro.experiments.harness import Table
 from repro.experiments.run_all import (
     EXIT_BOUND_VIOLATION,
@@ -14,6 +15,7 @@ from repro.experiments.run_all import (
 )
 from repro.obs import bounds
 from repro.obs.bounds import BoundSpec
+from repro.obs.sink import ListSink
 from repro.obs.report import aggregate_spans, load_events, metric_totals
 
 
@@ -230,6 +232,18 @@ def _space_specs_registered():
 
     names = {spec.name for spec in bounds.registered_specs()}
     return [spec.name for spec in SPACE_SPECS if spec.name in names]
+
+
+class TestCallerObsState:
+    def test_caller_obs_switch_and_sink_survive_a_run(self, tmp_path, capsys):
+        with obs.enabled(ListSink()) as caller_sink:
+            code = main([
+                "e7", "--no-telemetry", "--capture-wire",
+                "--capture-path", str(tmp_path / "wire.jsonl"),
+            ])
+            assert code == 0
+            assert obs.STATE.enabled
+            assert obs.STATE.sink is caller_sink
 
 
 class TestEarlyExitsLeaveNothing:

@@ -7,8 +7,8 @@ zero-weight edges and non-contiguous, mixed hashable labels) and check
 
 * ``cut_weights`` / ``cut_weights_both`` vs ``DiGraph.cut_weight``;
 * ``weights_between`` vs ``DiGraph.directed_weight_between``;
-* CSR integer-indexed Dinic vs the dict-path Dinic (value equality and
-  min-cut duality);
+* CSR integer-indexed Dinic vs the dict-path Dinic kept in
+  ``tests/graphs/dict_maxflow.py`` (value equality and min-cut duality);
 * degree/weight vectors vs per-node dict sums;
 * the UGraph freeze path;
 * freeze/total_weight cache invalidation across mutations.
@@ -23,8 +23,9 @@ from repro.errors import GraphError
 from repro.graphs.csr import CSRGraph, batched_cut_weights
 from repro.graphs.cuts import all_directed_cut_values, enumerate_cut_sides
 from repro.graphs.digraph import DiGraph
-from repro.graphs.maxflow import DinicMaxFlow, max_flow
+from repro.graphs.maxflow import max_flow
 from repro.graphs.ugraph import UGraph
+from tests.graphs.dict_maxflow import max_flow_value as dict_max_flow_value
 
 # Non-contiguous mixed hashable labels: ints with gaps, strings, tuples.
 LABEL_POOL = [0, 7, 3, "a", "zz", (1, 2), ("x",), 100, -4, "node-9", 42, (0, 0)]
@@ -156,8 +157,10 @@ class TestDirectedKernels:
     @given(random_digraphs())
     @settings(max_examples=30, deadline=None)
     def test_enumeration_engines_agree(self, g):
-        dict_vals = list(all_directed_cut_values(g, engine="dict"))
-        csr_vals = list(all_directed_cut_values(g, engine="csr"))
+        dict_vals = [
+            (side, g.cut_weight(side)) for side in enumerate_cut_sides(g.nodes())
+        ]
+        csr_vals = list(all_directed_cut_values(g))
         assert len(dict_vals) == len(csr_vals)
         for (s1, v1), (s2, v2) in zip(dict_vals, csr_vals):
             assert s1 == s2
@@ -181,9 +184,8 @@ class TestMaxFlowEquivalence:
         sink = data.draw(
             st.sampled_from([v for v in labels if v != source])
         )
-        csr_result = max_flow(g, source, sink, engine="csr")
-        dict_result = max_flow(g, source, sink, engine="dict")
-        assert csr_result.value == pytest.approx(dict_result.value)
+        csr_result = max_flow(g, source, sink)
+        assert csr_result.value == pytest.approx(dict_max_flow_value(g, source, sink))
         # Min-cut duality: the reported source side is a cut whose dict
         # weight equals the flow value (or the trivial full-vertex set
         # when the sink is unreachable).
@@ -197,7 +199,7 @@ class TestMaxFlowEquivalence:
         labels = g.nodes()
         source = data.draw(st.sampled_from(labels))
         sink = data.draw(st.sampled_from([v for v in labels if v != source]))
-        result = max_flow(g, source, sink, engine="csr")
+        result = max_flow(g, source, sink)
         net = {v: 0.0 for v in labels}
         for (u, v), f in result.edge_flows.items():
             assert -1e-9 <= f <= g.weight(u, v) + 1e-9

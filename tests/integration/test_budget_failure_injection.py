@@ -11,7 +11,6 @@ import pytest
 
 from repro.errors import BudgetExceededError
 from repro.graphs.generators import planted_min_cut_ugraph
-from repro.localquery.baselines import exact_reconstruction_estimate
 from repro.localquery.mincut_query import estimate_min_cut
 from repro.localquery.oracle import GraphOracle
 
@@ -35,18 +34,6 @@ class TestBudgets:
         oracle = GraphOracle(graph, budget=generous)
         estimate = estimate_min_cut(oracle, eps=0.25, rng=2)
         assert estimate.value == pytest.approx(k, rel=0.4)
-
-    def test_exact_baseline_needs_theta_m(self, workload):
-        graph, _ = workload
-        # Just below its exact cost: must blow the budget.
-        cost = graph.num_nodes + 2 * graph.num_edges
-        oracle = GraphOracle(graph, budget=cost - 1)
-        with pytest.raises(BudgetExceededError):
-            exact_reconstruction_estimate(oracle)
-        # Exactly at cost: finishes.
-        oracle = GraphOracle(graph, budget=cost)
-        result = exact_reconstruction_estimate(oracle)
-        assert result.queries == cost
 
     def test_budget_error_is_not_a_wrong_answer(self, workload):
         """The failure mode is loud (an exception), never a silently

@@ -190,32 +190,6 @@ class TestLocalQueryReconciliation:
         assert all(m.bits == 0 for m in queries)
 
 
-class TestOneWayProtocolReconciliation:
-    def test_message_bits_match_comm_counters(self):
-        from repro.comm.protocol import Message, OneWayProtocol, run_protocol
-
-        class Echo(OneWayProtocol):
-            def alice(self, alice_input):
-                return Message.from_object(alice_input)
-
-            def bob(self, message, bob_input):
-                return message.to_object()
-
-        with obs.enabled():
-            with capturing() as cap:
-                run = run_protocol(Echo(), [1, 2, 3], None)
-        assert len(cap) == 1
-        msg = cap.messages[0]
-        assert (msg.sender, msg.receiver) == ("alice", "bob")
-        assert msg.kind == "oneway.message"
-        assert msg.bits == run.message_bits
-        snap = obs.snapshot()
-        assert snap["comm.message_bits"] == cap.total_bits
-        assert snap["comm.messages"] == 1
-        # The message was recorded inside the run_protocol span.
-        assert msg.span.endswith("comm.run_protocol")
-
-
 class TestBitLedgerWire:
     def test_charges_carry_party_names_and_kind(self):
         from repro.comm.protocol import BitLedger

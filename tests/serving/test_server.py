@@ -1,7 +1,12 @@
 """End-to-end server behavior over real sockets (in-thread daemon)."""
 
 import asyncio
+import os
 import socket
+import subprocess
+import sys
+import urllib.request
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,11 +20,13 @@ from repro.graphs.mincut import directed_global_min_cut, stoer_wagner
 from repro.graphs.ugraph import UGraph
 from repro.obs import capture as obs_capture
 from repro.obs import live as obs_live
+from repro.obs.announce import read_announcement
 from repro.serving.client import AsyncServingClient, ServingClient
 from repro.serving.protocol import ServingError, sock_recv
-from repro.serving.remote import rng_state_payload
 from repro.serving.server import ServerThread, main
 from tests.serving.conftest import frame_with_header
+
+REPO = Path(__file__).resolve().parent.parent.parent
 
 
 def _graph(rng=1, n=48):
@@ -130,7 +137,7 @@ class TestBasicOps:
         assert again == first  # cached sketch: same object, same answer
 
 
-# id -> (op, payload); the strings OID, MASK and RNG are filled in per run.
+# id -> (op, payload); the strings OID and MASK are filled in per run.
 _BAD_REQUESTS = {
     "min_cut": ("serve.min_cut", {"oid": "nope"}),
     "sketch_eps": ("serve.sketch_query", {"oid": "OID", "mask": "MASK", "epsilon": "abc"}),
@@ -139,10 +146,6 @@ _BAD_REQUESTS = {
     "sketch_const_neg": ("serve.sketch_query", {"oid": "OID", "mask": "MASK", "constant": -1}),
     "edge_arity": ("serve.register", {"directed": False, "nodes": [0, 1], "edges": [[0, 1]]}),
     "edge_weight": ("serve.register", {"directed": False, "nodes": [0, 1], "edges": [[0, 1, "w"]]}),
-    "shard_no_eps": ("serve.shard_sketch", {"name": "SHARD", "rng_state": "RNG"}),
-    "shard_rng": ("serve.shard_sketch", {"name": "SHARD", "epsilon": 0.3, "rng_state": {"x": 1}}),
-    "cut_no_prec": ("serve.shard_cut", {"name": "SHARD", "side": [0]}),
-    "cut_bad_prec": ("serve.shard_cut", {"name": "SHARD", "side": [0], "precision": "p"}),
 }
 
 
@@ -166,11 +169,20 @@ class TestErrors:
                     client.min_cut(oid)
                 assert client.ping()["name"] == "sketch-server"
 
-    def test_unknown_op_is_a_serving_error(self):
+    # A client still sending a removed shard op gets the unknown-op reply.
+    @pytest.mark.parametrize(
+        "op",
+        ["serve.frobnicate", "serve.host_shard", "serve.shard_sketch", "serve.shard_cut"],
+    )
+    def test_unknown_op_is_a_serving_error(self, op):
+        graph = _graph()
+        side = _sides(graph, 1)[0]
         with ServerThread() as thread:
             with ServingClient("127.0.0.1", thread.port) as client:
-                with pytest.raises(ServingError, match="unknown op"):
-                    client.request("serve.frobnicate", {})
+                oid = client.register_graph(graph)
+                with pytest.raises(ServingError, match=f"^{op}: unknown op"):
+                    client.request(op, {"name": "SHARD"})
+                assert client.cut_weight(oid, side) >= 0.0
 
     @pytest.mark.parametrize("op,payload", _BAD_REQUESTS.values(), ids=_BAD_REQUESTS)
     def test_error_reply_does_not_kill_the_connection(self, op, payload, caplog):
@@ -179,8 +191,7 @@ class TestErrors:
         with ServerThread() as thread:
             with ServingClient("127.0.0.1", thread.port) as client:
                 oid = client.register_graph(graph)
-                client.host_shard("SHARD", graph)
-                fill = {"OID": oid, "MASK": client._mask(oid, side), "RNG": rng_state_payload(1)}
+                fill = {"OID": oid, "MASK": client._mask(oid, side)}
                 payload = {k: fill.get(v, v) if isinstance(v, str) else v for k, v in payload.items()}
                 # A serve.error reply naming the op, not a dropped socket.
                 with pytest.raises(ServingError, match=f"^{op}: "):
@@ -303,3 +314,69 @@ class TestCaptureIntegration:
 
         by_identity = Counter((m.kind, m.digest) for m in cap.messages)
         assert all(count % 2 == 0 for count in by_identity.values())
+
+
+class TestDaemonSubprocess:
+    def test_cli_daemon_announces_serves_and_exits_clean(self, tmp_path):
+        log = tmp_path / "daemon.log"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(REPO / "src")
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.serving.server",
+                "--port", "0", "--metrics-port", "0",
+            ],
+            stderr=log.open("w"),
+            env=env,
+        )
+        try:
+            url = read_announcement(log, "serving", timeout_s=30.0)
+            host, port = url.replace("tcp://", "").rsplit(":", 1)
+            metrics_url = read_announcement(log, "serving metrics", timeout_s=30.0)
+
+            graph = random_regularish_ugraph(24, 4, rng=7)
+            with ServingClient(host, int(port)) as client:
+                oid = client.register_graph(graph)
+                nodes = list(graph.nodes())
+                assert client.cut_weight(oid, nodes[:5]) > 0.0
+
+            with urllib.request.urlopen(metrics_url, timeout=10) as resp:
+                text = resp.read().decode()
+            assert "repro_serving_requests_total" in text
+
+            with ServingClient(host, int(port)) as client:
+                client.shutdown()
+            assert proc.wait(timeout=30) == 0
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)
+
+    def test_tight_slo_breach_exits_6(self, tmp_path):
+        log = tmp_path / "daemon.log"
+        env = dict(os.environ)
+        env["PYTHONPATH"] = str(REPO / "src")
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.serving.server",
+                "--port", "0",
+                "--slo", "span:serve.request:p99<=0.000000001",
+            ],
+            stderr=log.open("w"),
+            env=env,
+        )
+        try:
+            url = read_announcement(log, "serving", timeout_s=30.0)
+            host, port = url.replace("tcp://", "").rsplit(":", 1)
+            graph = random_regularish_ugraph(24, 4, rng=7)
+            with ServingClient(host, int(port)) as client:
+                oid = client.register_graph(graph)
+                nodes = list(graph.nodes())
+                for _ in range(5):
+                    client.cut_weight(oid, nodes[:5])
+                client.shutdown()
+            assert proc.wait(timeout=30) == 6
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)
