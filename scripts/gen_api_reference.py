@@ -204,6 +204,18 @@ record, adding a full `live.snapshot` frame on each tick
 live.jsonl` (or `--url http://...`) renders either as a live ASCII
 dashboard (`make obs-watch`).
 
+### One session per process (`repro.obs.session`)
+
+`ObsSession` is the one wiring of the pieces above, shared by
+`run_all` and the serving daemon.  It switches obs on only when a
+telemetry sink, a capture, a live consumer (SLO rules, live export,
+metrics port) or a profiler is requested, installs the bus only for a
+live consumer, opens and closes everything on one `ExitStack`, and
+hands an in-process caller back its switch, sink, metric values, span
+stack, bus, captures and bound specs on every exit.  A consumer that
+cannot open raises `SetupError` (exit 3); `write_failure()` and
+`slo_failure()` map mid-run write failures to 3 and breaches to 6.
+
 ### Trace export (`repro.obs.export`)
 
 `chrome_trace(events)` converts telemetry/capture records into Chrome

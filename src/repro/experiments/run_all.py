@@ -27,7 +27,9 @@ of the row's printed columns, the per-sweep scaling exponents are
 fitted, and the results are printed and emitted as ``bound_check``
 events.  ``--strict-bounds`` only turns any violation into exit
 code 2.  ``--profile`` attaches the span-attributed profiler
-(:mod:`repro.obs.profile`) and records ``profile`` events.
+(:mod:`repro.obs.profile`) and records ``profile`` events; with
+neither telemetry nor ``--live-export`` to write them to, it is a
+usage error.
 
 ``--memory[=sample|trace]`` attaches the measured-space profiler
 (:mod:`repro.obs.memory`): a background thread samples peak RSS, and
@@ -43,10 +45,11 @@ span paths; ``memory`` events ride the normal telemetry flow, the live
 bus gains ``repro_memory_*`` gauges, and the ``mem:`` / ``rss:`` SLO
 rule kinds become meaningful.  The four byte columns are equal at any
 ``--jobs`` count; all other memory output goes to stderr.
-``--capture-wire`` additionally records every protocol message (sketch
-ships, ledger charges, oracle queries) to ``--capture-path`` as a
-wire-level transcript; render it with ``scripts/wire_report.py`` or
-diff-replay individual games with ``scripts/wire_replay.py``.
+``--capture-wire[=PATH]`` additionally records every protocol message
+(sketch ships, ledger charges, oracle queries) to PATH (default
+``wire.capture.jsonl``) as a wire-level transcript; render it with
+``scripts/wire_report.py`` or diff-replay individual games with
+``scripts/wire_replay.py``.
 
 ``--kernels {auto,python,native}`` selects the compiled-kernel backend
 for the hot loops (Dinic, contraction, Lemma 3.2 products); see
@@ -67,56 +70,48 @@ and ``--live-port N`` serves Prometheus text at
 ``scripts/obs_watch.py`` tails.  All live status output goes to
 stderr, so stdout digests are unaffected.
 
+The obs wiring is :class:`repro.obs.session.ObsSession`, shared with
+the serving daemon.
+
 The runner keeps no run history.  Speed history is perfbench's
 ``--record`` JSONL, read by ``perfbench/compare.py``; output equality
 is git plus CI's ``digest-parity`` job, which compares this stdout on
 the base commit and on the change.
 
-Exit codes: 0 success; 1 an experiment raised; 2 bound violation under
-``--strict-bounds``; 3 telemetry sink failure (could not open, or
-writing failed mid-run); 4 explicitly requested kernel backend
-unavailable; 6 an SLO rule breached under ``--slo``; 7 the ``--serve``
-smoke's served responses diverged from direct evaluation.  Code 5 is
-unused.
+Exit codes, first match wins: 1 an experiment raised; 3 the telemetry
+sink, live export, live port or wire capture could not open, or a
+write failed; 2 bound violation under ``--strict-bounds`` (or a usage
+error, before anything runs); 6 an SLO rule breached; else 0.  4 an
+explicitly requested kernel backend is unavailable; 7 the ``--serve``
+smoke's replies diverged from direct evaluation.  Code 5 is unused.
 """
 
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import traceback
 from typing import List, Optional
 
+from repro.errors import ObsError
 from repro.experiments.tables import REGISTRY
-from repro.parallel import set_default_jobs
-from repro.obs import (
-    REGISTRY as OBS_REGISTRY,
-    STATE as OBS_STATE,
-    JsonlSink,
-    SpanProfiler,
-    enable as obs_enable,
-    event as obs_event,
-    reset_metrics,
-    span as obs_span,
-)
-from repro.obs import bounds as obs_bounds
-from repro.obs import capture as obs_capture
-from repro.obs import live as obs_live
 from repro.obs import memory as obs_memory
-from repro.obs import slo as obs_slo
-from repro.obs.exporters import JsonlExporter, MetricsServer
+from repro.obs import span as obs_span
+from repro.obs.session import (
+    EXIT_SLO_BREACH,
+    EXIT_TELEMETRY_FAILURE,
+    ObsSession,
+    SetupError,
+    parse_slo,
+)
+from repro.parallel import set_default_jobs
 
 #: Exit code for an experiment that raised (the others still run).
 EXIT_EXPERIMENT_FAILURE = 1
 #: Exit code for a bound violation under ``--strict-bounds``.
 EXIT_BOUND_VIOLATION = 2
-#: Exit code for a telemetry sink failure.
-EXIT_TELEMETRY_FAILURE = 3
 #: Exit code for an explicitly requested kernel backend that cannot load.
 EXIT_KERNELS_UNAVAILABLE = 4
-#: Exit code for an SLO breach under ``--slo``.
-EXIT_SLO_BREACH = 6
 #: Exit code for a ``--serve`` smoke whose served responses diverge
 #: from direct in-process evaluation.
 EXIT_SERVE_SMOKE_FAILURE = 7
@@ -257,7 +252,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser.add_argument(
         "--profile",
         action="store_true",
-        help="attach the span-attributed profiler and emit profile events",
+        help="attach the span-attributed profiler and emit profile events "
+        "(needs telemetry or --live-export to write them to)",
     )
     parser.add_argument(
         "--memory",
@@ -274,17 +270,14 @@ def main(argv: Optional[List[str]] = None) -> int:
     )
     parser.add_argument(
         "--capture-wire",
-        action="store_true",
-        help="record every protocol message (sketch ships, ledger "
-        "charges, oracle queries) to --capture-path; render with "
-        "scripts/wire_report.py",
-    )
-    parser.add_argument(
-        "--capture-path",
+        nargs="?",
+        const="wire.capture.jsonl",
+        default=None,
         metavar="PATH",
-        default="wire.capture.jsonl",
-        help="where --capture-wire writes the transcript "
-        "(default: %(default)s)",
+        help="record every protocol message (sketch ships, ledger "
+        "charges, oracle queries) to PATH (bare flag: %(const)s; use "
+        "the '=' form when experiment ids follow); render with "
+        "scripts/wire_report.py",
     )
     parser.add_argument(
         "--slo",
@@ -319,24 +312,23 @@ def main(argv: Optional[List[str]] = None) -> int:
         "for the duration of the run (0 = ephemeral port; the bound "
         "port is reported on stderr)",
     )
-    parser.add_argument(
-        "--flush-every",
-        type=int,
-        default=None,
-        metavar="N",
-        help="flush the telemetry JSONL every N records so live tails "
-        "see events promptly (default: 1 when --slo/--live-export/"
-        "--live-port is active, else interpreter buffering)",
-    )
     args = parser.parse_args(argv)
 
-    if args.flush_every is not None and args.flush_every <= 0:
-        parser.error("--flush-every must be a positive record count")
-
-    if args.memory is not None and args.memory not in obs_memory.MODES:
-        parser.error(
-            f"--memory must be one of {obs_memory.MODES}, got {args.memory!r}"
+    chosen = args.experiments or list(REGISTRY)
+    # Usage errors exit 2 here, before any file (telemetry too) opens.
+    try:
+        session = ObsSession(
+            telemetry=None if args.no_telemetry else args.telemetry,
+            capture=args.capture_wire,
+            capture_meta={"run": "run_all", "experiments": chosen},
+            live_export=args.live_export,
+            metrics_port=args.live_port,
+            rules=parse_slo(args.slo, memory_mode=args.memory),
+            memory_mode=args.memory,
+            profile=args.profile,
         )
+    except ObsError as exc:
+        parser.error(str(exc))
 
     if args.list:
         for key in REGISTRY:
@@ -346,7 +338,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     if args.serve:
         return _serve_smoke()
 
-    chosen = args.experiments or list(REGISTRY)
     unknown = [key for key in chosen if key not in REGISTRY]
     if unknown:
         parser.error(f"unknown experiments: {unknown}; use --list")
@@ -371,182 +362,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         file=sys.stderr,
     )
 
-    def _restore() -> None:
-        """Undo the kernel selection and the space specs registered here."""
-        _kernels.select_backend(previous_kernels)
-        if args.memory is not None:
-            # Later in-process runs without --memory must not inherit
-            # the space specs.
-            obs_memory.unregister_space_bounds()
-
-    # The space specs must exist before the SLO spec parses: a bare
-    # --slo (and any bound:* wildcard) expands over the registry, and
-    # the memory specs belong in that expansion.  Both steps come before
-    # anything opens a file, so a malformed spec leaves the previous
-    # run's telemetry alone.
-    if args.memory is not None:
-        obs_memory.register_space_bounds()
-    rules = None
-    if args.slo is not None:
-        try:
-            rules = obs_slo.parse_spec(args.slo)
-        except obs_slo.SloError as exc:
-            _restore()
-            parser.error(str(exc))
-
-    # Wire capture needs live instrumentation sites, so it forces the
-    # switch on (it records regardless of --no-telemetry), and so does
-    # the memory profiler.  The live bus tees off sink.emit, so
-    # --slo/--live-export/--live-port force the switch on the same way
-    # (they work under --no-telemetry).  Bound certification reads the
-    # printed columns and needs no switch.
-    live_on = (
-        args.slo is not None
-        or args.live_export is not None
-        or args.live_port is not None
-    )
-    use_obs = (
-        not args.no_telemetry
-        or args.capture_wire
-        or live_on
-        or args.memory is not None
-    )
-    flush_every = args.flush_every
-    if flush_every is None and live_on:
-        flush_every = 1  # live tails must see events promptly
-    sink = None
-    if not args.no_telemetry:
-        try:
-            sink = JsonlSink(args.telemetry, flush_every=flush_every)
-        except OSError as exc:
-            print(
-                f"error: cannot open telemetry sink "
-                f"{os.path.abspath(args.telemetry)}: {exc}",
-                file=sys.stderr,
-            )
-            _restore()
-            return EXIT_TELEMETRY_FAILURE
-        print(f"telemetry sink: {os.path.abspath(sink.path)}")
-    # An in-process caller may have its own switch and sink on; both
-    # come back as they were when the run ends.
-    caller_obs = (OBS_STATE.enabled, OBS_STATE.sink)
-    if use_obs:
-        reset_metrics()
-        OBS_STATE.sink = sink  # None drops events; metrics still record
-        obs_enable()
-
-    # Live observability: the bus tees every emitted record; the
-    # aggregator folds them into windows; the SLO engine and the
-    # exporters subscribe.  All status output goes to stderr — stdout
-    # carries only the tables, so digests stay comparable.
-    bus: Optional[obs_live.LiveBus] = None
-    aggregator: Optional[obs_live.LiveAggregator] = None
-    engine: Optional[obs_slo.SloEngine] = None
-    exporter: Optional[JsonlExporter] = None
-    server: Optional[MetricsServer] = None
-
-    def _live_teardown() -> None:
-        if server is not None:
-            server.stop()
-        if exporter is not None:
-            exporter.close()
-        if bus is not None:
-            obs_live.uninstall(bus)
-
-    def _obs_teardown() -> None:
-        if use_obs:
-            OBS_STATE.enabled, OBS_STATE.sink = caller_obs
-        if sink is not None:
-            sink.close()
-
-    def _setup_abort() -> None:
-        """Unwind everything a failed live-setup step left behind."""
-        _live_teardown()
-        _obs_teardown()
-        _restore()
-
-    if live_on:
-        bus = obs_live.install(obs_live.LiveBus())
-        aggregator = obs_live.LiveAggregator().attach(bus)
-        if rules is not None:
-            engine = obs_slo.SloEngine(rules, aggregator=aggregator).attach(bus)
-            for rule in engine.rules:
-                print(f"slo rule: {rule.describe()}", file=sys.stderr)
-        if args.live_export is not None:
-            try:
-                exporter = JsonlExporter(
-                    args.live_export, aggregator=aggregator
-                ).attach(bus)
-            except OSError as exc:
-                print(
-                    f"error: cannot open live export "
-                    f"{os.path.abspath(args.live_export)}: {exc}",
-                    file=sys.stderr,
-                )
-                _setup_abort()
-                return EXIT_TELEMETRY_FAILURE
-            print(
-                f"live export: {os.path.abspath(args.live_export)}",
-                file=sys.stderr,
-            )
-        if args.live_port is not None:
-            try:
-                server = MetricsServer(
-                    port=args.live_port, aggregator=aggregator
-                ).start()
-            except OSError as exc:
-                print(
-                    f"error: cannot bind the live metrics server on "
-                    f"port {args.live_port}: {exc}",
-                    file=sys.stderr,
-                )
-                _setup_abort()
-                return EXIT_TELEMETRY_FAILURE
-            server.announce("live metrics")
-
-    capture = None
-    capture_sink = None
-    if args.capture_wire:
-        try:
-            capture_sink = JsonlSink(args.capture_path)
-        except OSError as exc:
-            print(
-                f"error: cannot open wire capture "
-                f"{os.path.abspath(args.capture_path)}: {exc}",
-                file=sys.stderr,
-            )
-            _setup_abort()
-            return EXIT_TELEMETRY_FAILURE
-        capture = obs_capture.WireCapture(
-            meta={"run": "run_all", "experiments": chosen},
-            sink=capture_sink,
-        )
-        obs_capture.install(capture)
-        print(f"wire capture: {os.path.abspath(capture_sink.path)}")
-
-    monitor = obs_bounds.BoundMonitor()
-    obs_bounds.install(monitor)
-    profiler = SpanProfiler() if args.profile else None
-    mem_profiler = (
-        obs_memory.MemoryProfiler(mode=args.memory)
-        if args.memory is not None
-        else None
-    )
     # Every sweep and game round below resolves its worker count through
     # this process-wide default (argument > default > $REPRO_JOBS > 1).
     set_default_jobs(args.jobs)
     failed: List[str] = []
     try:
-        if profiler is not None:
-            profiler.start()
-        if mem_profiler is not None:
-            mem_profiler.start()
-            print(
-                f"memory profiler: mode={mem_profiler.mode}, rss sampler "
-                f"every {mem_profiler.interval}s",
-                file=sys.stderr,
-            )
-        try:
+        with session:
             for key in chosen:
                 try:
                     with obs_span(f"experiment.{key}"):
@@ -556,56 +377,14 @@ def main(argv: Optional[List[str]] = None) -> int:
                     failed.append(key)
                     print(f"error: experiment {key} failed:", file=sys.stderr)
                     traceback.print_exc()
-                if mem_profiler is not None:
-                    # Main-thread RSS checkpoint between experiments:
-                    # fresh memory.rss_* gauges + one rss event for the
-                    # live bus / rss: rules while the run is still going.
-                    mem_profiler.checkpoint()
-        finally:
-            if profiler is not None:
-                profiler.stop()
-            if mem_profiler is not None:
-                mem_profiler.stop()
-        if mem_profiler is not None:
-            # Before engine.finish(): span-allocation records reach the
-            # aggregator through the bus tee, so mem: rules see them.
-            mem_profiler.emit_events()
-            if bus is not None:
-                # One closing clock pulse so the exporter serialises a
-                # live.snapshot frame that includes the memory records
-                # just published (worker ticks stopped with the pool).
-                obs_live.tick()
-            rss = mem_profiler.rss_record()
-            print(
-                f"memory: rss {rss['rss_bytes']} bytes, "
-                f"peak {rss['rss_peak_bytes']} bytes "
-                f"({rss['samples']} samples, {rss['source']}), "
-                f"{len(mem_profiler.footprints)} footprints",
-                file=sys.stderr,
-            )
-        monitor.finish()
-        if engine is not None:
-            # Final whole-window evaluation while the sink is still
-            # open, so late breaches land in the telemetry stream.
-            engine.finish()
-        if profiler is not None:
-            profiler.emit_events()
-        if sink is not None:
-            # The authoritative cumulative totals for trace_report.
-            obs_event("summary", metrics=OBS_REGISTRY.as_dict())
+                session.checkpoint()
+    except SetupError:
+        return EXIT_TELEMETRY_FAILURE
     finally:
         set_default_jobs(None)
-        _restore()
-        obs_bounds.uninstall(monitor)
-        if mem_profiler is not None:
-            mem_profiler.stop()  # idempotent; covers the crash path
-        _live_teardown()
-        if capture is not None:
-            obs_capture.uninstall(capture)
-        if capture_sink is not None:
-            capture_sink.close()
-        _obs_teardown()
+        _kernels.select_backend(previous_kernels)
 
+    monitor = session.monitor
     if monitor.checks:
         print("\n== Bound certification ==")
         for line in monitor.summary_lines():
@@ -615,13 +394,13 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"{len(monitor.violations)} violations"
         )
 
-    if engine is not None:
+    if session.engine is not None:
         print("\n== SLO ==")
-        for line in engine.summary_lines():
+        for line in session.engine.summary_lines():
             print(line)
         print(
-            f"slo: {len(engine.rules)} rules, "
-            f"{len(engine.breaches)} breaches"
+            f"slo: {len(session.engine.rules)} rules, "
+            f"{len(session.engine.breaches)} breaches"
         )
 
     if failed:
@@ -631,38 +410,17 @@ def main(argv: Optional[List[str]] = None) -> int:
         )
         return EXIT_EXPERIMENT_FAILURE
 
-    if exporter is not None and exporter.error is not None:
+    code = session.write_failure()
+    if code:
+        return code
+    wire = session.wire
+    if wire is not None:
         print(
-            f"error: live export writing to "
-            f"{os.path.abspath(exporter.path)} failed: {exporter.error}",
-            file=sys.stderr,
+            f"\nwire capture written to {args.capture_wire}: "
+            f"{len(wire)} messages, {wire.total_bits} bits, "
+            f"{len(wire.parties())} parties"
         )
-        return EXIT_TELEMETRY_FAILURE
-
-    if capture is not None:
-        if capture_sink.error is not None:
-            print(
-                f"error: wire capture writing to "
-                f"{os.path.abspath(capture_sink.path)} failed: "
-                f"{capture_sink.error}",
-                file=sys.stderr,
-            )
-            return EXIT_TELEMETRY_FAILURE
-        parties = len(capture.parties())
-        print(
-            f"\nwire capture written to {args.capture_path}: "
-            f"{len(capture)} messages, {capture.total_bits} bits, "
-            f"{parties} parties"
-        )
-
-    if sink is not None:
-        if sink.error is not None:
-            print(
-                f"error: telemetry writing to {os.path.abspath(sink.path)} "
-                f"failed: {sink.error}",
-                file=sys.stderr,
-            )
-            return EXIT_TELEMETRY_FAILURE
+    if session.sink is not None:
         print(f"\ntelemetry written to {args.telemetry}")
 
     if args.strict_bounds and monitor.violations:
@@ -672,13 +430,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             file=sys.stderr,
         )
         return EXIT_BOUND_VIOLATION
-    if engine is not None and engine.breached:
-        print(
-            f"error: {len(engine.breaches)} SLO breach(es) under --slo",
-            file=sys.stderr,
-        )
-        return EXIT_SLO_BREACH
-    return 0
+    return session.slo_failure()
 
 
 if __name__ == "__main__":

@@ -4,7 +4,7 @@ One subsystem accounts for every resource the reproduced theorems
 measure — oracle queries (Thm 1.3), communication bits (the INDEX /
 Gap-Hamming / 2-SUM reductions), sketch sizes (Thms 1.1/1.2) — and for
 where wall time goes (CSR kernel batches, max-flow phases, distributed
-round trips).  Three pieces:
+round trips).  The modules:
 
 * :mod:`repro.obs.metrics` — counters / gauges / histograms in a
   namespaced registry;
@@ -43,7 +43,9 @@ round trips).  Three pieces:
   measured-memory ``mem:``/``rss:`` ceilings) evaluated live, emitting
   ``slo.violation`` events (``run_all --slo`` exits 6);
 * :mod:`repro.obs.exporters` — Prometheus-text HTTP endpoint and
-  streaming JSONL export feeding ``scripts/obs_watch.py``.
+  streaming JSONL export feeding ``scripts/obs_watch.py``;
+* :mod:`repro.obs.session` — :class:`ObsSession`, the one wiring of
+  all of the above for ``run_all`` and the serving daemon.
 
 Everything is gated by one switch (:func:`enable` / :func:`disable`,
 default **off**) whose disabled path is a near-zero-cost branch; the
@@ -104,6 +106,7 @@ from repro.obs.metrics import (
 from repro.obs.profile import SpanProfiler
 from repro.obs.sink import JsonlSink, ListSink, emit, event
 from repro.obs.slo import SloEngine, SloRule, default_rules, parse_spec
+from repro.obs.session import ObsSession
 from repro.obs.trace import Span, active_span, current_path, span
 
 __all__ = [
@@ -121,6 +124,7 @@ __all__ = [
     "MemoryProfiler",
     "MetricsRegistry",
     "MetricsServer",
+    "ObsSession",
     "REGISTRY",
     "STATE",
     "SlidingWindow",

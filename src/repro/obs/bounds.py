@@ -167,6 +167,22 @@ def registered_specs() -> Tuple[BoundSpec, ...]:
     return tuple(_REGISTRY.values())
 
 
+@contextmanager
+def registered(specs: Sequence[BoundSpec]) -> Iterator[None]:
+    """Scoped ``register(replace=True)``: each name gets back what it held."""
+    held = {spec.name: _REGISTRY.get(spec.name) for spec in specs}
+    for spec in specs:
+        register(spec, replace=True)
+    try:
+        yield
+    finally:
+        for name, spec in held.items():
+            if spec is None:
+                _REGISTRY.pop(name, None)
+            else:
+                _REGISTRY[name] = spec
+
+
 def _thm11_envelope(p: Mapping[str, float]) -> float:
     return p["n"] * math.sqrt(p["beta"]) / p["eps"]
 

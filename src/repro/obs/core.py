@@ -64,7 +64,7 @@ def is_enabled() -> bool:
 
 @contextmanager
 def enabled(sink=None) -> Iterator[Optional[object]]:
-    """Scoped ``enable()``: restores the previous switch and sink on exit.
+    """Scoped ``enable()``: restores the switch, sink and span stack on exit.
 
     Yields the active sink so tests can do::
 
@@ -72,10 +72,14 @@ def enabled(sink=None) -> Iterator[Optional[object]]:
             ...
             assert sink.records
     """
+    from repro.obs import trace
+
     prev_enabled, prev_sink = STATE.enabled, STATE.sink
+    prev_stack = trace.reset_stack()
     enable(sink)
     try:
         yield STATE.sink
     finally:
         STATE.enabled = prev_enabled
         STATE.sink = prev_sink
+        trace.reset_stack(prev_stack)

@@ -45,6 +45,7 @@ from typing import (
 )
 
 from repro.errors import ObsError
+from repro.obs.metrics import nearest_rank
 
 #: A bus subscriber: receives each published record (a plain dict).
 Subscriber = Callable[[Dict[str, Any]], None]
@@ -188,8 +189,8 @@ class SlidingWindow:
 
     ``window_s`` bounds the age of retained samples; ``capacity`` bounds
     their count (oldest evicted first).  Quantiles are nearest-rank over
-    the samples still inside the window — the same
-    ``rank = max(1, ceil(q * n))`` rule as
+    the samples still inside the window, by
+    :func:`repro.obs.metrics.nearest_rank` like
     :meth:`repro.obs.metrics.Histogram.quantile`, so a window covering a
     whole run and the run's histogram agree exactly.
     """
@@ -249,32 +250,24 @@ class SlidingWindow:
 
     def quantile(self, q: float, now: Optional[float] = None) -> float:
         """Nearest-rank quantile of the live samples (empty raises)."""
-        if not 0.0 <= q <= 1.0:
-            raise ObsError(f"quantile must be in [0, 1], got {q!r}")
         live = sorted(self.values(now))
         if not live:
             raise ObsError("sliding window has no live samples")
-        rank = max(1, math.ceil(q * len(live)))
-        return live[rank - 1]
+        return nearest_rank(live, q)
 
     def summary(self, now: Optional[float] = None) -> Dict[str, float]:
         """count/rate/min/p50/p95/p99/max over the live samples."""
         live = sorted(self.values(now))
         if not live:
             return {"count": 0, "empty": True}
-        n = len(live)
-
-        def nearest(q: float) -> float:
-            return live[max(1, math.ceil(q * n)) - 1]
-
         return {
-            "count": n,
-            "rate": n / self.window_s,
+            "count": len(live),
+            "rate": len(live) / self.window_s,
             "sum": math.fsum(live),
             "min": live[0],
-            "p50": nearest(0.5),
-            "p95": nearest(0.95),
-            "p99": nearest(0.99),
+            "p50": nearest_rank(live, 0.5),
+            "p95": nearest_rank(live, 0.95),
+            "p99": nearest_rank(live, 0.99),
             "max": live[-1],
         }
 
@@ -517,8 +510,7 @@ class LiveAggregator:
         if not pooled:
             return None
         pooled.sort()
-        rank = max(1, math.ceil(q * len(pooled)))
-        return pooled[rank - 1]
+        return nearest_rank(pooled, q)
 
     def bound_min_margin(
         self, spec: str, now: Optional[float] = None

@@ -591,21 +591,13 @@ SPACE_SPECS = (
 
 
 def register_space_bounds() -> None:
-    """Register the measured-space specs.
-
-    Idempotent; ``run_all --memory`` calls this before SLO parsing so
-    ``bound:*`` wildcards expand over the space specs too.
-    """
+    """Register the measured-space specs (idempotent)."""
     for spec in SPACE_SPECS:
         _bounds.register(spec, replace=True)
 
 
 def unregister_space_bounds() -> None:
-    """Remove the space specs (absent is a no-op).
-
-    ``run_all`` restores the registry on every exit so later in-process
-    runs without ``--memory`` see the pre-run spec set.
-    """
+    """Remove the space specs (absent is a no-op)."""
     for spec in SPACE_SPECS:
         _bounds.unregister(spec.name)
 

@@ -21,10 +21,22 @@ carry the whole story of a run.
 from __future__ import annotations
 
 import math
-from typing import Dict, List, Optional
+from contextlib import contextmanager
+from typing import Dict, Iterator, List, Optional, Sequence
 
 from repro.errors import ObsError
 from repro.obs.core import STATE
+
+
+def nearest_rank(ordered: Sequence[float], q: float) -> float:
+    """Nearest-rank quantile of non-empty ascending ``ordered``.
+
+    The one rule :class:`Histogram` and the live windows share, so a
+    window covering a whole run and the run's histogram agree exactly.
+    """
+    if not 0.0 <= q <= 1.0:
+        raise ObsError(f"quantile must be in [0, 1], got {q!r}")
+    return ordered[max(1, math.ceil(q * len(ordered))) - 1]
 
 
 class Counter:
@@ -115,15 +127,12 @@ class Histogram:
         them); an empty histogram raises :class:`ObsError` rather than
         inventing a value.
         """
-        if not 0.0 <= q <= 1.0:
-            raise ObsError(f"quantile must be in [0, 1], got {q!r}")
         if not self._samples:
             raise ObsError(f"histogram {self.name!r} has no samples")
         if not self._sorted:
             self._samples.sort()
             self._sorted = True
-        rank = max(1, math.ceil(q * len(self._samples)))
-        return self._samples[rank - 1]
+        return nearest_rank(self._samples, q)
 
     def summary(self) -> Dict[str, float]:
         """count/sum/mean/min/p50/p90/max in one JSON-friendly dict.
@@ -361,3 +370,15 @@ def delta_since(snap: Dict[str, float]) -> Dict[str, float]:
 def reset_metrics() -> None:
     """Zero the global registry (tests and fresh runs)."""
     REGISTRY.reset()
+
+
+@contextmanager
+def fresh_registry() -> Iterator[MetricsRegistry]:
+    """Zero the global registry for a block; its values come back after."""
+    saved = REGISTRY.dump_state()
+    REGISTRY.reset()
+    try:
+        yield REGISTRY
+    finally:
+        REGISTRY.reset()
+        REGISTRY.merge_state(saved)

@@ -38,9 +38,9 @@ class JsonlSink:
     Opening truncates an existing file.  A mid-run disk failure must
     not take the experiment down with it: the first :class:`OSError`
     from a write is remembered in :attr:`error`, the file is closed,
-    and every later record is dropped — ``run_all`` inspects
-    :attr:`error` at the end of the run and turns it into a distinct
-    exit code.
+    and every later record is dropped —
+    :meth:`repro.obs.session.ObsSession.write_failure` inspects
+    :attr:`error` at the end of the run and turns it into exit code 3.
 
     ``flush_every=N`` flushes the file every N records so a live tail
     (``scripts/obs_watch.py``, ``tail -f``) sees events promptly instead

@@ -20,7 +20,7 @@ exception propagates untouched.
 from __future__ import annotations
 
 import time
-from typing import Any, Dict, List
+from typing import Any, Dict, List, Sequence
 
 from repro.obs import metrics, sink
 from repro.obs.core import STATE
@@ -30,9 +30,14 @@ from repro.obs.core import STATE
 _STACK: List["Span"] = []
 
 
-def reset_stack() -> None:
-    """Drop any stale active spans (called by :func:`repro.obs.enable`)."""
-    _STACK.clear()
+def reset_stack(spans: Sequence["Span"] = ()) -> List["Span"]:
+    """Replace the active span stack (by default, empty it).
+
+    Returns the dropped spans; :func:`repro.obs.enabled` puts them back.
+    """
+    dropped = _STACK[:]
+    _STACK[:] = spans
+    return dropped
 
 
 #: Installed by a trace-mode :class:`repro.obs.memory.MemoryProfiler`:

@@ -22,7 +22,8 @@ socket:
   per-request fan-back;
 * :mod:`repro.serving.server` — the asyncio daemon
   (``python -m repro.serving.server``) wired through the obs
-  live/SLO/Prometheus stack;
+  live/SLO/Prometheus stack; not imported here, so ``-m`` runs it
+  once;
 * :mod:`repro.serving.client` — sync and async clients sharing the
   codec.
 """
@@ -38,7 +39,6 @@ from repro.serving.protocol import (
     graph_payload,
     side_mask,
 )
-from repro.serving.server import SketchServer
 
 __all__ = [
     "AsyncServingClient",
@@ -46,7 +46,6 @@ __all__ = [
     "MicroBatcher",
     "ServingClient",
     "ServingError",
-    "SketchServer",
     "SnapshotCache",
     "SnapshotEntry",
     "graph_from_payload",

@@ -20,10 +20,16 @@ queries over the :mod:`repro.serving.protocol` framing.  Request ops
 Responses echo the request kind with ``.ok`` appended (``serve.error``
 on failure, payload ``{error, op}``).  Every frame in either direction
 is recorded into the active wire capture with the digest of the bytes
-that crossed the socket, and every answered request emits a synthetic
+that crossed the socket.  While obs is on, every answered request
+counts into ``serving.*`` metrics and emits a synthetic
 ``serve.request`` span record, so the existing SLO grammar
 (``span:serve.request:p99<=0.25``) and the live dashboard work on
 served traffic unchanged.
+
+The command-line daemon runs inside a
+:class:`repro.obs.session.ObsSession`, as ``run_all`` does: obs is on
+only under ``--metrics-port``, ``--slo`` or ``--capture``.  Exit codes:
+2 usage error; 3 capture or metrics port failure; 6 SLO breach.
 """
 
 from __future__ import annotations
@@ -38,13 +44,21 @@ from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.errors import GraphError, ProtocolError, ReproError
+from repro.errors import GraphError, ObsError, ProtocolError, ReproError
 from repro.graphs.mincut import directed_global_min_cut, stoer_wagner
 from repro.obs import count as _obs_count
 from repro.obs import observe as _obs_observe
 from repro.obs import sink as _sink
 from repro.obs.announce import announce
 from repro.obs.core import STATE as _OBS
+from repro.obs.session import (
+    CAPTURE_ROTATE_BYTES,
+    EXIT_TELEMETRY_FAILURE,
+    ObsSession,
+    SetupError,
+    parse_slo,
+)
+from repro.obs.slo import serving_default_rules
 from repro.serving.batcher import DEFAULT_MAX_BATCH, DEFAULT_WINDOW_S, MicroBatcher
 from repro.serving.cache import DEFAULT_CACHE_BYTES, SnapshotCache, SnapshotEntry
 from repro.serving.protocol import (
@@ -553,7 +567,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--metrics-port", type=int, default=None, metavar="PORT",
         help="serve Prometheus /metrics (0 = ephemeral; announced on "
-        "stderr as 'serving metrics: http://...')",
+        "stderr as 'serving metrics: http://...'); exit 3 if it can't bind",
     )
     parser.add_argument(
         "--slo", nargs="?", const="", default=None, metavar="SPEC",
@@ -562,122 +576,51 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--capture", default=None, metavar="PATH",
-        help="stream the wire transcript to PATH as rotating JSONL",
-    )
-    parser.add_argument(
-        "--capture-rotate-bytes", type=int, default=8 << 20,
-        help="rotate the capture file past this size (default %(default)s)",
-    )
-    parser.add_argument(
-        "--capture-retain", type=int, default=4096,
-        help="in-memory messages kept by the capture ring (default "
-        "%(default)s; totals keep counting dropped ones)",
+        help="stream the wire transcript to PATH as JSONL rotating at "
+        f"{CAPTURE_ROTATE_BYTES >> 20} MiB; exit 3 if it cannot open "
+        "or a write fails",
     )
     args = parser.parse_args(argv)
 
-    import repro.obs as obs
-    from repro.obs import capture as capture_mod
-    from repro.obs import slo as slo_mod
-    from repro.obs.exporters import MetricsServer
-    from repro.obs.live import LiveAggregator, LiveBus, install as live_install, uninstall as live_uninstall
-    from repro.obs.sink import RotatingJsonlSink
-
-    # A bad spec is a usage error, raised before any global state moves.
-    rules = None
-    if args.slo is not None:
-        try:
-            rules = (
-                slo_mod.serving_default_rules()
-                if not args.slo.strip()
-                else slo_mod.parse_spec(args.slo)
-            )
-        except slo_mod.SloError as exc:
-            parser.error(str(exc))
-
-    # The daemon is an observability citizen by default: enable the
-    # switch so spans/counters/captures flow (scrapes and SLO rules are
-    # the whole point of running it).
-    obs.enable()
-    bus = LiveBus()
-    aggregator = LiveAggregator()
-    aggregator.attach(bus)
-    live_install(bus)
-
-    engine = None
-    if rules is not None:
-        engine = slo_mod.SloEngine(rules, aggregator=aggregator)
-        bus.subscribe(engine.on_record)
-        for rule in rules:
-            print(f"slo rule: {rule.describe()}", file=sys.stderr, flush=True)
-
-    capture = None
-    capture_sink = None
-    if args.capture is not None:
-        capture = capture_mod.WireCapture(
-            meta={"kind": "serving", "server": args.name},
-            retain=args.capture_retain,
+    # Usage errors come before any global state moves.
+    try:
+        session = ObsSession(
+            capture=args.capture,
+            capture_meta={"kind": "serving", "server": args.name},
+            metrics_port=args.metrics_port,
+            metrics_label="serving metrics",
+            rules=parse_slo(args.slo, defaults=serving_default_rules),
+            long_lived=True,
         )
-        capture_sink = RotatingJsonlSink(
-            args.capture,
-            max_bytes=args.capture_rotate_bytes,
-            header_factory=capture.header_record,
-        )
-        capture_sink.write(capture.header_record())
-        capture.sink = capture_sink
-        capture_mod.install(capture)
-
-    metrics = None
-    if args.metrics_port is not None:
-        metrics = MetricsServer(
-            port=args.metrics_port, aggregator=aggregator
-        ).start()
-        metrics.announce("serving metrics")
-
-    thread = ServerThread(
-        host=args.host,
-        port=args.port,
-        name=args.name,
-        cache_bytes=args.cache_bytes,
-    )
-    thread.start()
-    announce("serving", thread.server.url)
+    except ObsError as exc:
+        parser.error(str(exc))
 
     stop_event = threading.Event()
-
-    def _signal(_signum, _frame) -> None:
-        stop_event.set()
-
-    signal.signal(signal.SIGINT, _signal)
-    signal.signal(signal.SIGTERM, _signal)
-
     try:
-        # Wake on either a signal or the daemon finishing (shutdown op).
-        while not stop_event.is_set() and (
-            thread._thread is not None and thread._thread.is_alive()
-        ):
-            stop_event.wait(timeout=0.2)
-    finally:
-        thread.stop()
-        if metrics is not None:
-            metrics.stop()
-        if capture is not None:
-            capture_mod.uninstall(capture)
-            print(
-                f"wire capture: {capture.recorded} messages, "
-                f"{capture.total_bits} bits -> {args.capture}",
-                file=sys.stderr, flush=True,
-            )
-        if capture_sink is not None:
-            capture_sink.close()
-        live_uninstall(bus)
+        with session, ServerThread(
+            host=args.host, port=args.port, name=args.name,
+            cache_bytes=args.cache_bytes,
+        ) as thread:
+            announce("serving", thread.server.url)
+            for signum in (signal.SIGINT, signal.SIGTERM):
+                signal.signal(signum, lambda *_: stop_event.set())
+            # Wake on a signal or on the daemon finishing (shutdown op).
+            while thread._thread.is_alive() and not stop_event.wait(0.2):
+                pass
+    except SetupError:
+        return EXIT_TELEMETRY_FAILURE
 
-    if engine is not None:
-        breaches = engine.finish()
-        for line in engine.summary_lines():
+    wire = session.wire
+    if wire is not None:
+        print(
+            f"wire capture: {wire.recorded} messages, "
+            f"{wire.total_bits} bits -> {args.capture}",
+            file=sys.stderr, flush=True,
+        )
+    if session.engine is not None:
+        for line in session.engine.summary_lines():
             print(line, file=sys.stderr, flush=True)
-        if breaches:
-            return 6
-    return 0
+    return session.write_failure() or session.slo_failure()
 
 
 if __name__ == "__main__":

@@ -102,14 +102,14 @@ class TestTelemetry:
         assert "cannot open telemetry sink" in capsys.readouterr().err
 
     def test_midrun_write_failure_exits_3(self, tmp_path, capsys, monkeypatch):
-        import repro.experiments.run_all as run_all_mod
+        import repro.obs.session as session_mod
         from repro.obs.sink import JsonlSink
 
         class FailingSink(JsonlSink):
             def write(self, record):
                 self._fail(OSError(28, "No space left on device"))
 
-        monkeypatch.setattr(run_all_mod, "JsonlSink", FailingSink)
+        monkeypatch.setattr(session_mod, "JsonlSink", FailingSink)
         path = tmp_path / "t.jsonl"
         assert main(["e7", "--telemetry", str(path)]) == EXIT_TELEMETRY_FAILURE
         assert "telemetry writing" in capsys.readouterr().err
@@ -238,12 +238,38 @@ class TestCallerObsState:
     def test_caller_obs_switch_and_sink_survive_a_run(self, tmp_path, capsys):
         with obs.enabled(ListSink()) as caller_sink:
             code = main([
-                "e7", "--no-telemetry", "--capture-wire",
-                "--capture-path", str(tmp_path / "wire.jsonl"),
+                "e7", "--no-telemetry",
+                "--capture-wire=" + str(tmp_path / "wire.jsonl"),
             ])
             assert code == 0
             assert obs.STATE.enabled
             assert obs.STATE.sink is caller_sink
+
+    def test_caller_metrics_and_span_stack_survive_a_run(
+        self, tmp_path, capsys
+    ):
+        path = tmp_path / "t.jsonl"
+        with obs.enabled(ListSink()) as caller_sink:
+            obs.count("caller.counter", 5)
+            with obs.span("outer"):
+                code = main([
+                    "e7", "--telemetry", str(path),
+                    "--capture-wire=" + str(tmp_path / "wire.jsonl"),
+                ])
+                with obs.span("inner"):
+                    pass
+            assert code == 0
+            assert obs.REGISTRY.counter("caller.counter").value == 5
+        inner = [r for r in caller_sink.of_kind("span") if r["name"] == "inner"]
+        assert [r["path"] for r in inner] == ["outer/inner"]
+        # The run's own telemetry is a fresh process's: zeroed registry,
+        # empty span stack.
+        events = load_events(path)
+        summary = [e for e in events if e["event"] == "summary"][-1]
+        assert summary["metrics"]["counters"].get("caller.counter", 0) == 0
+        paths = [e["path"] for e in events if e["event"] == "span"]
+        assert "experiment.e7" in paths
+        assert not [p for p in paths if p.startswith("outer")]
 
 
 class TestEarlyExitsLeaveNothing:
@@ -295,6 +321,14 @@ class TestFailureIsolation:
 
 
 class TestProfileFlag:
+    def test_profile_with_nowhere_to_write_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["e7", "--profile", "--no-telemetry"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert "profile records need" in captured.err
+        assert captured.out == ""  # nothing ran
+
     def test_profile_events_written(self, tmp_path, capsys):
         path = tmp_path / "t.jsonl"
         assert main(["e7", "--profile", "--telemetry", str(path)]) == 0

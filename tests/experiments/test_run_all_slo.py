@@ -155,18 +155,3 @@ class TestLivePort:
         assert "repro_live_workers" in scraped["metrics"]
         assert scraped["snapshot"]["window_s"] > 0
 
-
-class TestFlushEvery:
-    def test_explicit_flush_every_accepted(self, tmp_path, capsys):
-        path = tmp_path / "t.jsonl"
-        assert main(
-            ["e7", "--telemetry", str(path), "--flush-every", "5"]
-        ) == 0
-        capsys.readouterr()
-        for line in path.read_text().splitlines():
-            json.loads(line)
-
-    def test_zero_flush_every_is_rejected(self, tmp_path):
-        with pytest.raises(SystemExit):
-            main(["e7", "--telemetry", str(tmp_path / "t.jsonl"),
-                  "--flush-every", "0"])

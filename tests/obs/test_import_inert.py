@@ -16,7 +16,7 @@ SRC = Path(__file__).resolve().parents[2] / "src"
 PROBE = """
 from repro import obs
 from repro.obs import bounds, capture, export, exporters, live, memory
-from repro.obs import profile, replay, slo
+from repro.obs import profile, replay, session, slo
 assert not obs.STATE.enabled
 assert capture.active() is None
 assert live.active() is None

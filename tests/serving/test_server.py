@@ -5,6 +5,7 @@ import os
 import socket
 import subprocess
 import sys
+import threading
 import urllib.request
 from pathlib import Path
 
@@ -316,7 +317,108 @@ class TestCaptureIntegration:
         assert all(count % 2 == 0 for count in by_identity.values())
 
 
+class TestDaemonObsSession:
+    """The daemon's obs wiring, in process: setup failures and the
+    switch rule (a stand-in for the server thread records what the
+    daemon would start under)."""
+
+    def _assert_nothing_installed(self):
+        assert not obs.STATE.enabled
+        assert obs_live.active() is None
+        assert obs_capture.active() is None
+
+    def test_unopenable_capture_exits_3(self, tmp_path, capsys):
+        path = tmp_path / "no_such_dir" / "wire.jsonl"
+        assert main(["--capture", str(path)]) == 3
+        assert "error: cannot open wire capture" in capsys.readouterr().err
+        self._assert_nothing_installed()
+
+    def test_unbindable_metrics_port_exits_3(self, capsys):
+        with socket.socket() as holder:
+            holder.bind(("127.0.0.1", 0))
+            holder.listen(1)
+            taken = holder.getsockname()[1]
+            assert main(["--metrics-port", str(taken)]) == 3
+        err = capsys.readouterr().err
+        assert f"error: cannot bind the live metrics server on port {taken}" in err
+        self._assert_nothing_installed()
+
+    @pytest.mark.parametrize(
+        "flags", [[], ["--metrics-port", "0"], ["--slo"], ["--capture"]]
+    )
+    def test_obs_switches_on_only_when_a_flag_asks(
+        self, flags, tmp_path, monkeypatch, capsys
+    ):
+        import repro.serving.server as server_mod
+
+        if flags == ["--capture"]:
+            flags = ["--capture", str(tmp_path / "wire.jsonl")]
+        seen = {}
+
+        class StandIn:
+            def __init__(self, **kwargs):
+                self._thread = threading.Thread()  # never alive: no wait
+                self.server = type("S", (), {"url": "tcp://127.0.0.1:1"})
+
+            def __enter__(self):
+                seen["enabled"] = obs.STATE.enabled
+                seen["bus"] = obs_live.active() is not None
+                seen["capture"] = obs_capture.active() is not None
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+        monkeypatch.setattr(server_mod, "ServerThread", StandIn)
+        monkeypatch.setattr(server_mod.signal, "signal", lambda *args: None)
+        assert main(flags) == 0
+        capsys.readouterr()
+        assert seen == {
+            "enabled": bool(flags),
+            "bus": flags[:1] in (["--metrics-port"], ["--slo"]),
+            "capture": flags[:1] == ["--capture"],
+        }
+        self._assert_nothing_installed()
+
+
 class TestDaemonSubprocess:
+    def test_module_runs_once_under_dash_m(self):
+        result = subprocess.run(
+            [sys.executable, "-W", "error::RuntimeWarning",
+             "-m", "repro.serving.server", "--help"],
+            env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+            capture_output=True,
+            text=True,
+            timeout=60,
+        )
+        assert result.returncode == 0, result.stderr
+
+    @pytest.mark.skipif(
+        not os.path.exists("/dev/full"), reason="needs /dev/full"
+    )
+    def test_capture_write_failure_exits_3_after_shutdown(self, tmp_path):
+        log = tmp_path / "daemon.log"
+        proc = subprocess.Popen(
+            [
+                sys.executable, "-m", "repro.serving.server",
+                "--port", "0", "--capture", "/dev/full",
+            ],
+            stderr=log.open("w"),
+            env={**os.environ, "PYTHONPATH": str(REPO / "src")},
+        )
+        try:
+            url = read_announcement(log, "serving", timeout_s=30.0)
+            host, port = url.replace("tcp://", "").rsplit(":", 1)
+            with ServingClient(host, int(port)) as client:
+                client.ping()
+                client.shutdown()
+            assert proc.wait(timeout=30) == 3
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)
+        assert "error: wire capture writing to /dev/full failed" in log.read_text()
+
     def test_cli_daemon_announces_serves_and_exits_clean(self, tmp_path):
         log = tmp_path / "daemon.log"
         env = dict(os.environ)
