@@ -248,12 +248,16 @@ reference** when no C compiler exists; an *explicit* `native`
 selection raises `KernelUnavailableError` instead (`run_all` exits 4).
 
 The parity guarantee is bit-identity, not approximation: native
-kernels mirror the reference operation for operation — same traversal
-order, same float accumulation order, same consumption of pre-drawn
-uniform streams — so flows, cuts, and codewords are equal at the
-`==`/`array_equal` level (`tests/kernels/test_parity.py`,
-`tests/kernels/test_stoer_wagner.py`, pinned seeds in
-`tests/graphs/test_karger_kernel_regression.py`).  The backend in
+kernels read the same values as the reference, with the same float
+accumulation order, the same tie rule and the same consumption of
+pre-drawn uniform streams, so flows, phases, cuts, sides, merged
+matrices and codewords are equal at the `==`/`array_equal` level.  A
+native kernel may skip slots that no later step reads: its
+Stoer–Wagner scans only the live nodes outside the phase's set, where
+the vectorized reference updates all `n`.  The suites that hold this
+are `tests/kernels/test_parity.py`,
+`tests/kernels/test_stoer_wagner.py` and the pinned seeds in
+`tests/graphs/test_karger_kernel_regression.py`.  The backend in
 use is reported through the `kernels.backend.<name>` obs counter and
 on `run_all`'s stderr.  CI's digest matrix checks that `run_all`
 prints identical stdout with `--kernels python` and with native.

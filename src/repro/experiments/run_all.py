@@ -49,7 +49,9 @@ rule kinds become meaningful.  The four byte columns are equal at any
 (sketch ships, ledger charges, oracle queries) to PATH (default
 ``wire.capture.jsonl``) as a wire-level transcript; render it with
 ``scripts/wire_report.py`` or diff-replay individual games with
-``scripts/wire_replay.py``.
+``scripts/wire_replay.py``.  A PATH that is an experiment id (the bare
+flag followed by ``e7``) is a usage error, as for ``--live-export``;
+a file that really has that name is given as ``./e7``.
 
 ``--kernels {auto,python,native}`` selects the compiled-kernel backend
 for the hot loops (Dinic, contraction, Lemma 3.2 products); see
@@ -316,6 +318,16 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     chosen = args.experiments or list(REGISTRY)
     # Usage errors exit 2 here, before any file (telemetry too) opens.
+    for flag, path in (
+        ("--capture-wire", args.capture_wire),
+        ("--live-export", args.live_export),
+    ):
+        if path in REGISTRY:
+            parser.error(
+                f"{flag} took the experiment id {path!r} as its PATH; "
+                f"write {flag}=PATH before experiment ids (a file named "
+                f"{path} is ./{path})"
+            )
     try:
         session = ObsSession(
             telemetry=None if args.no_telemetry else args.telemetry,

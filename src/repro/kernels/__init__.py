@@ -15,7 +15,12 @@ inside the loop) with two interchangeable implementations:
   parity suite in ``tests/kernels`` enforces this).
 * the **native** backend (:mod:`repro.kernels.native_cc`) — the same
   algorithms in one C file (``_kernels.c``), compiled on demand with
-  the system C compiler and loaded through :mod:`ctypes`.
+  the system C compiler and loaded through :mod:`ctypes`.  A native
+  kernel reads the same values, adds floats in the same order and
+  breaks ties by the same rule as the reference, but it may skip slots
+  that no later step reads (its Stoer–Wagner scans only the live nodes
+  outside the phase's set, where the vectorized reference updates all
+  ``n``).
 
 Selection is runtime-configurable and always degrades gracefully::
 

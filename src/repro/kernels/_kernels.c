@@ -1,11 +1,15 @@
 /* Compiled kernels for the repro hot loops.
  *
- * Every function mirrors, operation for operation, the pure-Python
- * reference in repro/kernels/reference.py: identical traversal order,
- * identical floating-point accumulation order, identical union-find
- * rule.  That mirroring is a hard contract — the parity suite asserts
- * bit-identical flows, cuts, and codewords against the reference — so
- * any change here must be made in lockstep with reference.py.
+ * Every function computes what the pure-Python reference in
+ * repro/kernels/reference.py computes, bit for bit: it reads the same
+ * values, adds floats in the same order and breaks ties by the same
+ * rule (the first maximum, the same union-find steps).  It may skip
+ * slots that no later step reads: the Stoer–Wagner scans visit only
+ * the live nodes outside the phase's set, where the vectorized
+ * reference updates all n.  The parity suite asserts bit-identical
+ * flows, phases, cuts, sides, merged matrices and codewords against
+ * the reference, so a change to what a kernel reads is made in
+ * reference.py first.
  *
  * Built on demand by repro/kernels/native_cc.py:
  *     cc -O3 -fPIC -shared -o repro_kernels_<hash>.so _kernels.c
@@ -32,6 +36,7 @@ static void bfs_levels(
     const double *arc_cap,
     const double *arc_flow,
     int64_t source,
+    int64_t sink,
     int64_t *level,
     int64_t *queue)
 {
@@ -46,6 +51,9 @@ static void bfs_levels(
             int64_t head = arc_head[a];
             if (level[head] < 0 && arc_cap[a] - arc_flow[a] > EPS) {
                 level[head] = level[cur] + 1;
+                /* Unlabelled nodes sit at or beyond the sink's level,
+                 * off every level path to it. */
+                if (head == sink) return;
                 queue[qtail++] = head;
             }
         }
@@ -139,7 +147,7 @@ double repro_dinic_solve(
     double total = 0.0;
     int64_t phases = 0;
     for (;;) {
-        bfs_levels(n, indptr, adj, arc_head, arc_cap, arc_flow, source,
+        bfs_levels(n, indptr, adj, arc_head, arc_cap, arc_flow, source, sink,
                    level, queue);
         if (level[sink] < 0) break;
         phases++;
@@ -363,40 +371,45 @@ double repro_stoer_wagner(
     int64_t n,
     double *w,        /* n x n row-major; rows merged in place */
     double *key,      /* n scratch: weight into this phase's set */
-    uint8_t *merged,  /* n scratch: 1 once merged into another node */
-    uint8_t *in_set,  /* n scratch: 1 once in this phase's set */
+    int64_t *live,    /* n scratch: unmerged nodes, ascending */
+    int64_t *cand,    /* n scratch: this phase's nodes outside the set,
+                         ascending */
     int64_t *owner,   /* n scratch: node each original node merged into */
     uint8_t *side)    /* n out: the min cut's side */
 {
     double best = HUGE_VAL;
     for (int64_t i = 0; i < n; i++) {
-        merged[i] = 0;
+        live[i] = i;
         owner[i] = i;
         side[i] = 0;
     }
     for (int64_t remaining = n; remaining > 1; remaining--) {
-        int64_t start = 0;
-        while (merged[start]) start++;
+        int64_t start = live[0];
         const double *row = w + start * n;
-        for (int64_t v = 0; v < n; v++) {
-            in_set[v] = merged[v];
+        int64_t left = remaining - 1;
+        for (int64_t k = 0; k < left; k++) {
+            int64_t v = live[k + 1];
+            cand[k] = v;
             key[v] = row[v];
         }
-        in_set[start] = 1;
         int64_t s = start, t = start;
         double cut = 0.0;
-        for (int64_t step = 1; step < remaining; step++) {
-            int64_t chosen = -1;
-            for (int64_t v = 0; v < n; v++) {
-                if (!in_set[v] && (chosen < 0 || key[v] > key[chosen]))
-                    chosen = v;
+        while (left > 0) {
+            /* First maximum: strict > over an ascending list. */
+            int64_t chosen = cand[0];
+            for (int64_t k = 1; k < left; k++) {
+                if (key[cand[k]] > key[chosen]) chosen = cand[k];
             }
             cut = key[chosen];
-            in_set[chosen] = 1;
             row = w + chosen * n;
-            for (int64_t v = 0; v < n; v++) {
-                if (!in_set[v]) key[v] += row[v];
+            int64_t kept = 0;
+            for (int64_t k = 0; k < left; k++) {
+                int64_t v = cand[k];
+                if (v == chosen) continue;
+                key[v] += row[v];
+                cand[kept++] = v;
             }
+            left = kept;
             s = t;
             t = chosen;
         }
@@ -406,12 +419,15 @@ double repro_stoer_wagner(
         }
         double *rs = w + s * n;
         const double *rt = w + t * n;
-        for (int64_t v = 0; v < n; v++) {
-            if (merged[v] || v == s || v == t) continue;
+        int64_t kept = 0;
+        for (int64_t k = 0; k < remaining; k++) {
+            int64_t v = live[k];
+            if (v == t) continue;
+            live[kept++] = v;
+            if (v == s) continue;
             rs[v] += rt[v];
             w[v * n + s] = rs[v];
         }
-        merged[t] = 1;
         for (int64_t i = 0; i < n; i++) {
             if (owner[i] == t) owner[i] = s;
         }

@@ -137,7 +137,7 @@ class _CcKernels:
         ]
         lib.repro_stoer_wagner.restype = ctypes.c_double
         lib.repro_stoer_wagner.argtypes = [
-            ctypes.c_int64, _f64p, _f64p, _u8p, _u8p, _i64p, _u8p,
+            ctypes.c_int64, _f64p, _f64p, _i64p, _i64p, _i64p, _u8p,
         ]
         lib.repro_had_combine_many.restype = None
         lib.repro_had_combine_many.argtypes = [
@@ -220,16 +220,16 @@ class _CcKernels:
         if weights.shape != (n, n):
             raise ValueError(f"weights must be ({n}, {n}), got {weights.shape}")
         key = np.empty(n, dtype=np.float64)
-        merged = np.empty(n, dtype=np.uint8)
-        in_set = np.empty(n, dtype=np.uint8)
+        live = np.empty(n, dtype=np.int64)
+        cand = np.empty(n, dtype=np.int64)
         owner = np.empty(n, dtype=np.int64)
         return float(
             self._lib.repro_stoer_wagner(
                 n,
                 _as(weights, np.float64, _f64p),
                 _as(key, np.float64, _f64p),
-                _as(merged, np.uint8, _u8p),
-                _as(in_set, np.uint8, _u8p),
+                _as(live, np.int64, _i64p),
+                _as(cand, np.int64, _i64p),
                 _as(owner, np.int64, _i64p),
                 _as(side, np.uint8, _u8p),
             )

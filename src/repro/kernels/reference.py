@@ -145,7 +145,9 @@ def dinic_solve(net, source: int, sink: int) -> Tuple[float, int]:
     total = 0.0
     phases = 0
     while True:
-        levels = _bfs_levels(n, indptr_l, adj_l, head_l, cap_l, flow_l, source)
+        levels = _bfs_levels(
+            n, indptr_l, adj_l, head_l, cap_l, flow_l, source, sink
+        )
         if levels[sink] < 0:
             break
         phases += 1
@@ -156,7 +158,16 @@ def dinic_solve(net, source: int, sink: int) -> Tuple[float, int]:
     return total, phases
 
 
-def _bfs_levels(n, indptr, adj, arc_head, arc_cap, arc_flow, source) -> List[int]:
+def _bfs_levels(
+    n, indptr, adj, arc_head, arc_cap, arc_flow, source, sink
+) -> List[int]:
+    """BFS levels from ``source``, stopping once ``sink`` has its level.
+
+    Every node left at ``-1`` then lies at or beyond the sink's level,
+    so no level path to the sink passes through it: the blocking flow
+    finds the same augmenting paths in the same order, and only skips
+    the dead ends a full labelling would have walked into.
+    """
     from collections import deque
 
     level = [-1] * n
@@ -169,6 +180,8 @@ def _bfs_levels(n, indptr, adj, arc_head, arc_cap, arc_flow, source) -> List[int
             head = arc_head[a]
             if level[head] < 0 and arc_cap[a] - arc_flow[a] > _EPS:
                 level[head] = level[cur] + 1
+                if head == sink:
+                    return level
                 queue.append(head)
     return level
 
@@ -390,10 +403,14 @@ def karger_runs(
 def stoer_wagner(weights: np.ndarray, side: np.ndarray) -> float:
     """Global min cut value; fills ``side`` and merges ``weights`` in place.
 
-    Each step is one vector operation over all ``n`` slots: entries of
-    nodes already in the set (or merged away) are updated too but never
-    read again, and ``np.argmax`` returns the first maximum, so every
-    value read matches the per-node loop of the native rendering.
+    This is the vectorized specification.  Each step is one vector
+    operation over all ``n`` slots: entries of nodes already in the set
+    (or merged away) are updated too but never read again, and
+    ``np.argmax`` returns the first maximum.  The native rendering
+    skips those slots: it scans an ascending list of the live nodes
+    still outside the set, with a strict ``>``, so it keeps the same
+    first maximum and adds the same doubles in the same order, and
+    every value, side and merged row matches this one bit for bit.
     """
     n = weights.shape[0]
     merged = np.zeros(n, dtype=bool)

@@ -596,19 +596,28 @@ def main(argv=None) -> int:
         parser.error(str(exc))
 
     stop_event = threading.Event()
+    # An in-process caller gets its own handlers back on every exit.
+    previous = {
+        signum: signal.getsignal(signum)
+        for signum in (signal.SIGINT, signal.SIGTERM)
+    }
     try:
         with session, ServerThread(
             host=args.host, port=args.port, name=args.name,
             cache_bytes=args.cache_bytes,
         ) as thread:
             announce("serving", thread.server.url)
-            for signum in (signal.SIGINT, signal.SIGTERM):
+            for signum in previous:
                 signal.signal(signum, lambda *_: stop_event.set())
             # Wake on a signal or on the daemon finishing (shutdown op).
             while thread._thread.is_alive() and not stop_event.wait(0.2):
                 pass
     except SetupError:
         return EXIT_TELEMETRY_FAILURE
+    finally:
+        for signum, handler in previous.items():
+            if handler is not None:  # None: not installed from Python
+                signal.signal(signum, handler)
 
     wire = session.wire
     if wire is not None:

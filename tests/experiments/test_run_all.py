@@ -288,6 +288,27 @@ class TestEarlyExitsLeaveNothing:
         assert excinfo.value.code == 2
         assert _space_specs_registered() == []
 
+    @pytest.mark.parametrize("flag", ["--capture-wire", "--live-export"])
+    def test_experiment_id_as_path_is_a_usage_error(
+        self, flag, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as excinfo:
+            main([flag, "e7", "--no-telemetry"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert f"write {flag}=PATH" in captured.err
+        assert captured.out == ""  # nothing ran
+        assert list(tmp_path.iterdir()) == []
+
+    def test_a_file_named_like_an_id_is_given_with_its_directory(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert main(["--capture-wire", "./e7", "e7", "--no-telemetry"]) == 0
+        assert "E7 / Figures 3-6" in capsys.readouterr().out
+        assert (tmp_path / "e7").stat().st_size > 0
+
     def test_unopenable_sink_unregisters_the_space_specs(
         self, tmp_path, capsys
     ):

@@ -1,9 +1,11 @@
 """Native/python kernel parity: bit-identical flows, cuts, codewords.
 
 The contract under test is strict equality, not approximation: the
-native kernels mirror the reference operation for operation, so on the
-integer-weighted constructions the reproduction runs, every float and
-every set they produce must match exactly.
+native kernels read the same values as the reference, in the same
+accumulation order and with the same tie rule (skipping only slots no
+later step reads), so on the integer-weighted constructions the
+reproduction runs, every float and every set they produce must match
+exactly.
 """
 
 import pickle
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 
 from repro.graphs.csr import CSRGraph, ResidualNetwork
 from repro.graphs.digraph import DiGraph
-from repro.graphs.generators import random_connected_ugraph
+from repro.graphs.generators import random_balanced_digraph, random_connected_ugraph
 from repro.graphs.karger_stein import karger_stein_min_cut
 from repro.graphs.maxflow import max_flow
 from repro.graphs.mincut import directed_global_min_cut, stoer_wagner
@@ -36,6 +38,53 @@ def _random_digraph(n, m, seed):
             used.add((u, v))
             g.add_edge(u, v, float(gen.integers(1, 10)))
     return g
+
+
+def _shallow_sink_deep_tail(width, tail, seed):
+    """Source 0 reaches sink 1 through ``width`` middle nodes (level 2);
+    a chain of ``tail`` nodes hangs off the middle, deeper than the sink.
+
+    Chain nodes have arcs to the sink and back into earlier nodes, so
+    once the short paths saturate, later phases route through the chain.
+    """
+    gen = np.random.default_rng(seed)
+    middle = range(2, 2 + width)
+    chain = list(range(2 + width, 2 + width + tail))
+    g = DiGraph(nodes=range(2 + width + tail))
+
+    def arc(u, v):
+        if u != v and not g.has_edge(u, v):
+            g.add_edge(u, v, float(gen.integers(1, 10)))
+
+    for m in middle:
+        arc(0, m)
+        arc(m, 1)
+    arc(int(gen.choice(middle)), chain[0])
+    for a, b in zip(chain, chain[1:]):
+        arc(a, b)
+    for c in chain:
+        if gen.random() < 0.3:
+            arc(c, 1)
+        if gen.random() < 0.3:
+            arc(c, int(gen.integers(0, c)))
+    return g
+
+
+def _assert_flows_agree(backend, csr, pairs):
+    """Value, phases, arc flows and residual side match per flow."""
+    n = csr.num_nodes
+    for source, sink in pairs:
+        ref_net = ResidualNetwork(csr.tails, csr.heads, csr.weights, n)
+        net = csr.residual_network()
+        net.reset()
+        total_ref, phases_ref = reference.dinic_solve(ref_net, source, sink)
+        total_nat, phases_nat = backend.dinic_solve(net, source, sink)
+        assert np.float64(total_ref).tobytes() == np.float64(total_nat).tobytes()
+        assert phases_ref == phases_nat
+        assert ref_net.arc_flow.tobytes() == net.arc_flow.tobytes()
+        reference.residual_reachable(ref_net, source)
+        backend.residual_reachable(net, source)
+        assert np.array_equal(ref_net.seen, net.seen)
 
 
 class TestDinicParity:
@@ -70,20 +119,36 @@ class TestDinicParity:
 
     def test_kernel_level_phase_counts_match(self):
         backend = native_backend_or_skip()
-        n = 12
-        g = _random_digraph(n, 40, 3)
-        csr = g.freeze()
-        ref_net = ResidualNetwork(csr.tails, csr.heads, csr.weights, n)
-        net = csr.residual_network()
-        net.reset()
-        total_ref, phases_ref = reference.dinic_solve(ref_net, 0, n - 1)
-        total_nat, phases_nat = backend.dinic_solve(net, 0, n - 1)
-        assert total_ref == total_nat
-        assert phases_ref == phases_nat
-        assert np.array_equal(ref_net.arc_flow, net.arc_flow)
-        reference.residual_reachable(ref_net, 0)
-        backend.residual_reachable(net, 0)
-        assert np.array_equal(ref_net.seen, net.seen)
+        _assert_flows_agree(backend, _random_digraph(12, 40, 3).freeze(), [(0, 11)])
+
+
+class TestDinicAtDepth:
+    """python == native where the BFS stop at the sink skips the most:
+    a shallow sink with a deep tail beyond it, and the ``mincut``
+    workload's directed graphs (n = 128)."""
+
+    @given(st.integers(1, 4), st.integers(5, 60), st.integers(0, 2**31))
+    @settings(max_examples=25, deadline=None)
+    def test_shallow_sink_deep_tail_identical(self, width, tail, seed):
+        backend = native_backend_or_skip()
+        g = _shallow_sink_deep_tail(width, tail, seed)
+        last = g.num_nodes - 1
+        _assert_flows_agree(backend, g.freeze(), [(0, 1), (1, 0), (0, last)])
+        with using_backend("python"):
+            a = directed_global_min_cut(g)
+        with using_backend("native"):
+            b = directed_global_min_cut(g)
+        assert a == b
+
+    def test_workload_directed_graph_identical(self):
+        backend = native_backend_or_skip()
+        g = random_balanced_digraph(128, 4.0, density=0.1, rng=7)
+        _assert_flows_agree(backend, g.freeze(), [(0, 127), (127, 0), (5, 64)])
+        with using_backend("python"):
+            a = directed_global_min_cut(g)
+        with using_backend("native"):
+            b = directed_global_min_cut(g)
+        assert a == b
 
 
 class TestContractionParity:

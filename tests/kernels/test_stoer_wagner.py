@@ -12,14 +12,16 @@ from typing import Dict, FrozenSet, Set
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.errors import GraphError
 from repro.graphs.csr import _DENSE_N_LIMIT
-from repro.graphs.mincut import stoer_wagner
+from repro.graphs.generators import planted_min_cut_ugraph
+from repro.graphs.mincut import snapshot_min_cut_value, stoer_wagner
 from repro.graphs.ugraph import UGraph
 from repro.kernels import available_backends, reference, using_backend
+from repro.localquery.verify_guess import _sample_snapshot
 
 from tests.kernels.conftest import native_backend_or_skip
 
@@ -114,25 +116,101 @@ class TestAgainstOracle:
                 assert stoer_wagner(graph) == expected, backend
 
 
+def kernels_agree(backend, matrix: np.ndarray):
+    """Run both kernels on copies of ``matrix``; value, side and merged
+    matrix must match bit for bit.  Returns ``(value, side)``."""
+    n = matrix.shape[0]
+    ref_w, nat_w = matrix.copy(), matrix.copy()
+    ref_side = np.zeros(n, dtype=np.uint8)
+    nat_side = np.zeros(n, dtype=np.uint8)
+    ref_value = reference.stoer_wagner(ref_w, ref_side)
+    nat_value = backend.stoer_wagner(nat_w, nat_side)
+    assert np.float64(ref_value).tobytes() == np.float64(nat_value).tobytes()
+    assert np.array_equal(ref_side, nat_side)
+    assert ref_w.tobytes() == nat_w.tobytes()
+    return ref_value, ref_side
+
+
+def dense(family: str, n: int, seed: int) -> np.ndarray:
+    """A symmetric ``(n, n)`` weight matrix of ``family``."""
+    gen = np.random.default_rng(seed)
+    if family == "complete":
+        upper = np.triu(np.ones((n, n)), 1)
+    elif family == "cycle":
+        upper = np.zeros((n, n))
+        upper[np.arange(n - 1), np.arange(1, n)] = 1.0
+        upper[0, n - 1] = 1.0
+    elif family == "float":
+        keep = gen.random((n, n)) < 0.3
+        upper = np.triu(gen.uniform(0.1, 5.0, size=(n, n)) * keep, 1)
+    else:
+        upper = np.triu(gen.integers(0, 4, size=(n, n)).astype(np.float64), 1)
+    return upper + upper.T
+
+
+def disconnected_sample(n: int, seed: int):
+    """A VERIFY-GUESS-style sample of a planted graph that is disconnected.
+
+    Each vertex draws its incident slots with a small probability, as
+    VERIFY-GUESS does, and the pairs go through the same snapshot
+    builder; one vertex draws nothing and is drawn by no one.
+    """
+    gen = np.random.default_rng(seed)
+    graph, _ = planted_min_cut_ugraph(n // 2, 3, rng=seed)
+    labels = list(graph.nodes())
+    index = {v: i for i, v in enumerate(labels)}
+    lonely = int(gen.integers(len(labels)))
+    tails, heads = [], []
+    for v in labels:
+        for u in graph.neighbors(v):
+            pair = (index[v], index[u])
+            if lonely not in pair and gen.random() < 0.08:
+                tails.append(pair[0])
+                heads.append(pair[1])
+    return _sample_snapshot(labels, tails, heads)
+
+
 class TestKernel:
     @given(st.integers(2, 30), st.integers(0, 2**32 - 1))
     @settings(max_examples=40, deadline=None)
     def test_kernels_agree_on_matrix_and_merges(self, n, seed):
         backend = native_backend_or_skip()
-        gen = np.random.default_rng(seed)
-        upper = np.triu(gen.integers(0, 4, size=(n, n)).astype(np.float64), 1)
-        matrix = upper + upper.T
-        ref_w, nat_w = matrix.copy(), matrix.copy()
-        ref_side = np.zeros(n, dtype=np.uint8)
-        nat_side = np.zeros(n, dtype=np.uint8)
-        ref_value = reference.stoer_wagner(ref_w, ref_side)
-        nat_value = backend.stoer_wagner(nat_w, nat_side)
-        assert ref_value == nat_value
-        assert np.array_equal(ref_side, nat_side)
-        assert 0 < ref_side.sum() < n
+        _, side = kernels_agree(backend, dense("integer", n, seed))
+        assert 0 < side.sum() < n
 
     def test_above_dense_limit_raises_without_allocating(self):
         n = _DENSE_N_LIMIT + 1
         graph = UGraph(edges=[(i, i + 1, 1.0) for i in range(n - 1)])
         with pytest.raises(GraphError, match="dense adjacency"):
             stoer_wagner(graph)
+
+
+class TestWorkloadSizes:
+    """python == native at the sizes the workloads solve (VERIFY-GUESS
+    samples at n = 80, G_{x,y}, the coordinator's unions)."""
+
+    @given(
+        st.sampled_from(("complete", "cycle", "float", "integer")),
+        st.integers(41, 200),
+        st.integers(0, 2**32 - 1),
+    )
+    @example("complete", 200, 0)
+    @example("cycle", 200, 0)
+    @example("float", 200, 1)
+    @settings(max_examples=30, deadline=None)
+    def test_value_side_and_merged_matrix_match(self, family, n, seed):
+        backend = native_backend_or_skip()
+        kernels_agree(backend, dense(family, n, seed))
+
+    @given(st.integers(41, 200), st.integers(0, 2**32 - 1))
+    @example(80, 0)
+    @example(200, 1)
+    @settings(max_examples=10, deadline=None)
+    def test_disconnected_samples_give_exactly_zero(self, n, seed):
+        backend = native_backend_or_skip()
+        sample = disconnected_sample(n, seed)
+        value, _ = kernels_agree(backend, sample.adjacency_matrix())
+        assert value == 0.0
+        for name in ("python", "native"):
+            with using_backend(name):
+                assert snapshot_min_cut_value(sample) == 0.0

@@ -2,6 +2,7 @@
 
 import asyncio
 import os
+import signal
 import socket
 import subprocess
 import sys
@@ -379,6 +380,58 @@ class TestDaemonObsSession:
             "capture": flags[:1] == ["--capture"],
         }
         self._assert_nothing_installed()
+
+    @pytest.mark.parametrize("exit_path", ["returns", "raises"])
+    def test_caller_signal_handlers_come_back(
+        self, exit_path, monkeypatch, capsys
+    ):
+        import repro.serving.server as server_mod
+
+        installed = {}
+
+        class Waiting:
+            def is_alive(self):
+                installed.update(
+                    (signum, signal.getsignal(signum))
+                    for signum in (signal.SIGINT, signal.SIGTERM)
+                )
+                if exit_path == "raises":
+                    raise RuntimeError("planted failure")
+                return False
+
+        class StandIn:
+            def __init__(self, **kwargs):
+                self._thread = Waiting()
+                self.server = type("S", (), {"url": "tcp://127.0.0.1:1"})
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc_info):
+                return False
+
+        def caller_handler(signum, frame):
+            pass
+
+        monkeypatch.setattr(server_mod, "ServerThread", StandIn)
+        signums = (signal.SIGINT, signal.SIGTERM)
+        before = {signum: signal.getsignal(signum) for signum in signums}
+        try:
+            for signum in signums:
+                signal.signal(signum, caller_handler)
+            if exit_path == "raises":
+                with pytest.raises(RuntimeError, match="planted failure"):
+                    main([])
+            else:
+                assert main([]) == 0
+            after = {signum: signal.getsignal(signum) for signum in signums}
+        finally:
+            for signum, handler in before.items():
+                signal.signal(signum, handler)
+        capsys.readouterr()
+        # The daemon's own handlers were in place while it waited.
+        assert all(h is not caller_handler for h in installed.values())
+        assert after == {signum: caller_handler for signum in signums}
 
 
 class TestDaemonSubprocess:
