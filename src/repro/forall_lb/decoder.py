@@ -97,10 +97,10 @@ class ForAllDecoder:
         self.params = params
         self.enumeration_limit = enumeration_limit
         self._rng = ensure_rng(rng)
-        self._skeleton = ForAllEncoder(params).skeleton()
-        # Frozen once: the fixed skeleton offsets for whole batches of
-        # candidate subsets are evaluated through this snapshot.
-        self._skeleton_csr = self._skeleton.freeze()
+        # The fixed skeleton offsets for whole batches of candidate
+        # subsets are evaluated through this snapshot (the skeleton's
+        # dicts are never built).
+        self._skeleton_csr = ForAllEncoder(params).skeleton().freeze()
 
     def _query_nodes(self, pair: int, cluster: int, t: BitString) -> Set[NodeLabel]:
         """The node set ``T``: positions of 1 in ``t`` inside ``R_cluster``."""

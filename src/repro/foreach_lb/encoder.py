@@ -15,27 +15,36 @@ otherwise the block writes the constant vector, marking the encoding
 failed (Bob then answers at chance for those bits — the 1% slack the
 proof budgets for).  Every backward edge has weight ``1/beta``, making
 the graph ``O(beta log(1/eps))``-balanced by the edgewise criterion.
+
+The topology depends only on the parameters, so every encoding shares
+one CSR layout (:func:`_layout`): ``encode`` writes the block weights
+into a copy of the layout's weights and returns a graph holding that
+snapshot, whose dict adjacency is built only when something reads it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Set, Tuple
+from functools import lru_cache, partial
+from typing import List, Sequence, Set, Tuple
 
 import numpy as np
 
 from repro.errors import ParameterError
-from repro.foreach_lb.params import ForEachParams
+from repro.foreach_lb.params import ForEachParams, NodeLabel
+from repro.graphs.csr import BicliqueLayout, CSRGraph
 from repro.graphs.digraph import DiGraph
 from repro.linalg.hadamard import Lemma32Matrix
 from repro.utils.bitstrings import SignString
-from repro.utils.rng import RngLike
 
 #: The paper's ``c1``: the Chernoff cap on ``||x||_inf`` is
 #: ``c1 * ln(1/eps) / eps``.  Chosen so the cap holds with probability
 #: >= 0.99 at every block size we run (see tests/foreach_lb).
 DEFAULT_C1 = 4.0
+
+#: A Lemma 3.2 block: ``(pair, cluster_i, cluster_j)``.
+Block = Tuple[int, int, int]
 
 
 @dataclass
@@ -63,6 +72,65 @@ class EncodedGraph:
         return 3.0 * self.c1 * math.log(self.params.inv_eps)
 
 
+def _blocks(params: ForEachParams) -> List[Block]:
+    """Every block, in the order the string fills them."""
+    return [
+        (pair, cluster_i, cluster_j)
+        for pair in range(params.num_groups - 1)
+        for cluster_i in range(params.sqrt_beta)
+        for cluster_j in range(params.sqrt_beta)
+    ]
+
+
+def _block_nodes(
+    params: ForEachParams, block: Block
+) -> Tuple[Sequence[NodeLabel], Sequence[NodeLabel]]:
+    """The clusters ``(L_i, R_j)`` a block's forward edges join."""
+    pair, cluster_i, cluster_j = block
+    return (
+        params.cluster_nodes(pair, cluster_i),
+        params.cluster_nodes(pair + 1, cluster_j),
+    )
+
+
+def _skeleton_graph(params: ForEachParams) -> DiGraph:
+    """The backward edges of every group pair, in one bulk write each."""
+    graph = DiGraph()
+    for pair in range(params.num_groups - 1):
+        left = params.group_nodes(pair)
+        right = params.group_nodes(pair + 1)
+        graph.add_nodes(left)
+        graph.add_biclique(
+            right, left, [params.backward_weight] * (len(left) * len(right))
+        )
+    return graph
+
+
+def _write_block(
+    graph: DiGraph, params: ForEachParams, block: Block, weights: np.ndarray
+) -> None:
+    """Write the forward edges of one ``(L_i, R_j)`` block in one bulk write.
+
+    Edge order matches the paper's indexing: first by the left node
+    ``u``, then by the right node ``v`` — position ``u * (1/eps) + v``
+    of the weight vector.
+    """
+    graph.add_biclique(*_block_nodes(params, block), weights.tolist())
+
+
+@lru_cache(maxsize=8)
+def _layout(params: ForEachParams) -> BicliqueLayout:
+    """The CSR layout of every graph encoded under ``params``: the
+    skeleton, then each block written as :meth:`ForEachEncoder.encode`'s
+    dict graph writes it (weights here are placeholders)."""
+    graph = _skeleton_graph(params)
+    blocks = _blocks(params)
+    placeholder = np.zeros(params.inv_eps * params.inv_eps)
+    for block in blocks:
+        _write_block(graph, params, block, placeholder)
+    return BicliqueLayout.of(graph, [_block_nodes(params, b) for b in blocks])
+
+
 class ForEachEncoder:
     """Encode sign strings into balanced digraphs per Theorem 1.1."""
 
@@ -77,10 +145,14 @@ class ForEachEncoder:
                 "internal inconsistency: Lemma 3.2 matrix has "
                 f"{self._matrix.num_rows} rows, expected {params.bits_per_block}"
             )
-        # Built once; every encode and skeleton() call gets a copy.  Kept
-        # as a copy itself, so those copies clone its predecessor dicts
-        # instead of rebuilding them (see DiGraph.copy).
-        self._skeleton = self._build_skeleton().copy()
+        # Built once; every skeleton() call and dict build gets a copy.
+        # Kept as a copy itself, so those copies clone its predecessor
+        # dicts instead of rebuilding them (see DiGraph.copy).
+        self._skeleton = _skeleton_graph(params).copy()
+        self._blocks = _blocks(params)
+        # Shared by every encoder of these parameters, and built here,
+        # before a game's pool forks, so its workers inherit it.
+        self._layout = _layout(params)
 
     @property
     def matrix(self) -> Lemma32Matrix:
@@ -104,84 +176,60 @@ class ForEachEncoder:
         """
         return self._skeleton.copy()
 
-    def _build_skeleton(self) -> DiGraph:
-        params = self.params
-        graph = DiGraph()
-        for pair in range(params.num_groups - 1):
-            left = params.group_nodes(pair)
-            right = params.group_nodes(pair + 1)
-            graph.add_nodes(left)
-            graph.add_biclique(
-                right, left, [params.backward_weight] * (len(left) * len(right))
-            )
-        return graph
-
     def encode(self, s: SignString) -> EncodedGraph:
         """Build the graph encoding ``s``.
 
-        ``s`` must be a sign string of length ``params.string_length``.
-        Deterministic: the only randomness in the game is in ``s`` itself
-        and in the sketching algorithm.
+        ``s`` must be a sign string of length ``params.string_length``
+        whose entries are exactly +1 or -1.  Deterministic: the only
+        randomness in the game is in ``s`` itself and in the sketching
+        algorithm.  The graph holds its frozen snapshot, the block
+        weights written into the parameters' layout; its dicts are
+        built on first read, by the writes of :meth:`_dict_graph`.
         """
         params = self.params
-        s = np.asarray(s, dtype=np.int64)
+        s = np.asarray(s)
         if s.shape != (params.string_length,):
             raise ParameterError(
                 f"string must have length {params.string_length}, "
                 f"got {s.shape}"
             )
-        if not np.all(np.abs(s) == 1):
+        if not np.all((s == 1) | (s == -1)):
             raise ParameterError("string entries must be +-1")
-
-        graph = self._skeleton.copy()
-        failed: Set[Tuple[int, int, int]] = set()
         cap = self.infinity_cap()
         base = self.base_weight()
-        eps = params.epsilon
 
         # All blocks superpose against the same Lemma 3.2 matrix, so the
         # whole string encodes in one batched kernel dispatch instead of
         # one combine per block.
-        num_blocks = (params.num_groups - 1) * params.sqrt_beta * params.sqrt_beta
         codewords = self._matrix.combine_many(
-            s.reshape(num_blocks, params.bits_per_block)
+            s.astype(np.int64).reshape(len(self._blocks), params.bits_per_block)
         )
-
-        block = 0
-        for pair in range(params.num_groups - 1):
-            for cluster_i in range(params.sqrt_beta):
-                for cluster_j in range(params.sqrt_beta):
-                    x = codewords[block]
-                    block += 1
-                    if np.max(np.abs(x)) <= cap:
-                        weights = eps * x.astype(np.float64) + base
-                    else:
-                        weights = np.full(self._matrix.row_length, base)
-                        failed.add((pair, cluster_i, cluster_j))
-                    self._write_block(
-                        graph, pair, cluster_i, cluster_j, weights
-                    )
+        encoded = np.abs(codewords).max(axis=1) <= cap
+        weights = np.where(
+            encoded[:, None],
+            params.epsilon * codewords.astype(np.float64) + base,
+            base,
+        )
+        failed = {
+            block for block, ok in zip(self._blocks, encoded.tolist()) if not ok
+        }
+        snapshot = self._layout.snapshot(weights)
         return EncodedGraph(
-            graph=graph, params=params, c1=self.c1, failed_blocks=failed
+            graph=DiGraph.from_snapshot(
+                snapshot, partial(self._dict_graph, snapshot)
+            ),
+            params=params,
+            c1=self.c1,
+            failed_blocks=failed,
         )
 
-    def _write_block(
-        self,
-        graph: DiGraph,
-        pair: int,
-        cluster_i: int,
-        cluster_j: int,
-        weights: np.ndarray,
-    ) -> None:
-        """Write the forward edges of one ``(L_i, R_j)`` block in one bulk write.
-
-        Edge order matches the paper's indexing: first by the left node
-        ``u``, then by the right node ``v`` — position ``u * (1/eps) + v``
-        of the weight vector.
-        """
-        params = self.params
-        graph.add_biclique(
-            params.cluster_nodes(pair, cluster_i),
-            params.cluster_nodes(pair + 1, cluster_j),
-            weights.tolist(),
-        )
+    def _dict_graph(self, snapshot: CSRGraph) -> DiGraph:
+        """The encoded graph as dict writes build it, the order its
+        snapshot's layout follows: a skeleton copy, then one bulk write
+        per block of the weights ``snapshot`` gives it."""
+        graph = self._skeleton.copy()
+        for block, weights in zip(
+            self._blocks, self._layout.block_weights(snapshot)
+        ):
+            _write_block(graph, self.params, block, weights)
+        return graph

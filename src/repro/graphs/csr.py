@@ -187,6 +187,31 @@ class ResidualNetwork:
         self.solves += 1
 
 
+def _edge_arrays(
+    labels: List[Node], rows: List[ItemsView[Node, float]]
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(tails, heads, weights)`` of live per-node ``(head, weight)`` views.
+
+    Edges are laid out row by row in each row's own order, the order
+    the per-arc loop wrote them in; the rows are read, not copied.
+    """
+    index = {label: i for i, label in enumerate(labels)}
+    degrees = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+    m = int(degrees.sum())
+    tails = np.repeat(np.arange(len(labels), dtype=np.int64), degrees)
+    heads = np.fromiter(
+        map(index.__getitem__, map(itemgetter(0), chain.from_iterable(rows))),
+        dtype=np.int64,
+        count=m,
+    )
+    weights = np.fromiter(
+        map(itemgetter(1), chain.from_iterable(rows)),
+        dtype=np.float64,
+        count=m,
+    )
+    return tails, heads, weights
+
+
 class CSRGraph:
     """Immutable CSR snapshot of a directed graph with batch kernels.
 
@@ -277,26 +302,8 @@ class CSRGraph:
     def _from_rows(
         cls, labels: List[Node], rows: List[ItemsView[Node, float]]
     ) -> "CSRGraph":
-        """Snapshot from live per-node ``(head, weight)`` views in label order.
-
-        Edges are laid out row by row in each row's own order, the order
-        the per-arc loop wrote them in; the rows are read, not copied.
-        """
-        index = {label: i for i, label in enumerate(labels)}
-        degrees = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-        m = int(degrees.sum())
-        tails = np.repeat(np.arange(len(labels), dtype=np.int64), degrees)
-        heads = np.fromiter(
-            map(index.__getitem__, map(itemgetter(0), chain.from_iterable(rows))),
-            dtype=np.int64,
-            count=m,
-        )
-        weights = np.fromiter(
-            map(itemgetter(1), chain.from_iterable(rows)),
-            dtype=np.float64,
-            count=m,
-        )
-        return cls(labels, tails, heads, weights)
+        """Snapshot from live per-node ``(head, weight)`` views in label order."""
+        return cls(labels, *_edge_arrays(labels, rows))
 
     def to_digraph(self) -> DiGraph:
         """A dict :class:`~repro.graphs.digraph.DiGraph` of this snapshot.
@@ -769,6 +776,73 @@ class CSRGraph:
 
     def __repr__(self) -> str:
         return f"CSRGraph(n={self.num_nodes}, m={self.num_edges})"
+
+
+@dataclass(frozen=True, eq=False)
+class BicliqueLayout:
+    """One CSR layout for graphs that differ only in some bicliques' weights.
+
+    The lower-bound encoders write one graph per string on a topology
+    their parameters fix; the string sets only the weights of fixed
+    bicliques (Lemma 3.2 blocks, Gap-Hamming rows).  :meth:`of` reads
+    the layout off a template graph once: ``labels``, ``tails``,
+    ``heads`` and ``weights`` are what :meth:`CSRGraph.from_digraph`
+    lays out for it, and ``positions[b, i * len(right) + j]`` is the
+    edge index of biclique ``b``'s edge ``left[i] -> right[j]``.  The
+    arrays are read-only, so one layout serves every encoder of a
+    parameter set and every worker forked after it was built.
+    """
+
+    labels: Tuple[Node, ...]
+    tails: np.ndarray
+    heads: np.ndarray
+    weights: np.ndarray
+    positions: np.ndarray
+
+    @classmethod
+    def of(
+        cls,
+        graph: DiGraph,
+        bicliques: Sequence[Tuple[Sequence[Node], Sequence[Node]]],
+    ) -> "BicliqueLayout":
+        """The layout of ``graph``, which holds every biclique's edges
+        (the bicliques all of one size)."""
+        labels = graph.nodes()
+        tails, heads, weights = _edge_arrays(
+            labels, [graph.iter_successors(u) for u in labels]
+        )
+        index = {label: i for i, label in enumerate(labels)}
+        n = len(labels)
+        # Edge e has key tails[e] * n + heads[e]; no two edges share one.
+        edge_keys = tails * n + heads
+        wanted = np.array(
+            [
+                [index[u] * n + index[v] for u in left for v in right]
+                for left, right in bicliques
+            ],
+            dtype=np.int64,
+        )
+        order = np.argsort(edge_keys)
+        slots = np.searchsorted(edge_keys, wanted, sorter=order)
+        positions = order[np.minimum(slots, edge_keys.size - 1)]
+        if not np.array_equal(edge_keys[positions], wanted):
+            raise GraphError("a biclique edge is missing from the template graph")
+        for array in (tails, heads, weights, positions):
+            array.flags.writeable = False
+        return cls(tuple(labels), tails, heads, weights, positions)
+
+    def snapshot(self, block_weights: Optional[np.ndarray] = None) -> CSRGraph:
+        """A snapshot with row ``b`` of ``block_weights`` on biclique ``b``
+        and the template's weights elsewhere (everywhere when ``None``)."""
+        weights = self.weights
+        if block_weights is not None:
+            weights = weights.copy()
+            weights[self.positions] = block_weights
+        return CSRGraph(self.labels, self.tails, self.heads, weights)
+
+    def block_weights(self, snapshot: CSRGraph) -> np.ndarray:
+        """Row ``b``: the weights ``snapshot`` gives biclique ``b``."""
+        return snapshot.weights[self.positions]
 
 
 def batched_cut_weights(

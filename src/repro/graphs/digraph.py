@@ -24,6 +24,7 @@ from operator import ge
 from typing import (
     TYPE_CHECKING,
     AbstractSet,
+    Callable,
     Dict,
     Hashable,
     Iterable,
@@ -300,16 +301,42 @@ class DiGraph:
         guards :meth:`total_weight`).  Freeze once, then evaluate many
         cuts in single vectorized passes.
         """
-        from repro.graphs.csr import CSRGraph
-
         if self._csr is None or self._csr_version != self._version:
             if _OBS.enabled:
                 _obs_count("csr.freeze.miss")
-            self._csr = CSRGraph.from_digraph(self)
+            self._csr = self._snapshot()
             self._csr_version = self._version
         elif _OBS.enabled:
             _obs_count("csr.freeze.hit")
         return self._csr
+
+    def _snapshot(self) -> "CSRGraph":
+        from repro.graphs.csr import CSRGraph
+
+        return CSRGraph.from_digraph(self)
+
+    @staticmethod
+    def from_snapshot(
+        snapshot: "CSRGraph", build: Callable[[], "DiGraph"]
+    ) -> "DiGraph":
+        """A graph that holds ``snapshot`` and builds its dicts on first read.
+
+        For constructions whose snapshot is cheaper to write than their
+        dicts (the lower-bound encoders): a consumer that only freezes
+        the graph never pays for the dicts.  ``build()`` must return the
+        graph ``snapshot`` was laid out from, so that
+        ``CSRGraph.from_digraph(build())`` equals it; the graph takes
+        that graph's dicts, in its adjacency order, the first time
+        anything reads, copies, pickles or mutates it.  Its first
+        ``freeze()`` returns ``snapshot`` and counts the miss the
+        snapshot's build stands for.
+        """
+        graph = _SnapshotFirstDiGraph()
+        del graph._succ, graph._pred
+        graph._build = build
+        graph._num_edges = snapshot.num_edges
+        graph._csr = snapshot
+        return graph
 
     # ------------------------------------------------------------------
     # cuts
@@ -439,3 +466,39 @@ class DiGraph:
 
     def __repr__(self) -> str:
         return f"DiGraph(n={self.num_nodes}, m={self.num_edges})"
+
+
+class _SnapshotFirstDiGraph(DiGraph):
+    """A :meth:`DiGraph.from_snapshot` graph whose dicts are not built yet.
+
+    The attribute-miss hook lives on this class alone: a ``__getattr__``
+    on :class:`DiGraph` would slow every attribute read of every graph.
+    Reading ``_succ`` or ``_pred`` builds the dicts and turns the graph
+    into a plain :class:`DiGraph`.
+    """
+
+    def __getattr__(self, name: str):
+        if name in ("_succ", "_pred"):
+            self._build_dicts()
+            return getattr(self, name)
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}"
+        )
+
+    def __reduce_ex__(self, protocol):
+        # Pickles and deep copies carry the dicts, never the builder.
+        self._build_dicts()
+        return self.__reduce_ex__(protocol)
+
+    def _snapshot(self) -> "CSRGraph":
+        # The first freeze() serves the prebuilt snapshot as the miss that
+        # built it; the graph cannot change until its dicts exist.
+        return self._csr
+
+    def _build_dicts(self) -> None:
+        built = self._build()
+        self._succ, self._pred = built._succ, built._pred
+        del self._build
+        # The snapshot stays current; a later mutation stales it.
+        self._csr_version = self._version
+        self.__class__ = DiGraph

@@ -81,6 +81,17 @@ class TestEncoder:
         with pytest.raises(ParameterError):
             encoder.encode(np.zeros(PARAMS.string_length, dtype=np.int8))
 
+    def test_rejects_non_integral_entries(self):
+        # Entries are checked as given: 1.5 and -1.9 must not truncate to
+        # +1 and -1 on their way to the +-1 check.
+        s = random_signstring(PARAMS.string_length, rng=13).astype(np.float64)
+        s[0], s[-1] = 1.5, -1.9
+        encoder = ForEachEncoder(PARAMS)
+        with pytest.raises(ParameterError):
+            encoder.encode(s)
+        s[0], s[-1] = 1.0, -1.0
+        encoder.encode(s)  # exact +-1 floats are signs
+
     def test_c1_must_be_positive(self):
         with pytest.raises(ParameterError):
             ForEachEncoder(PARAMS, c1=0.0)

@@ -20,7 +20,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import GraphError
-from repro.graphs.csr import CSRGraph, batched_cut_weights
+from repro.graphs.csr import BicliqueLayout, CSRGraph, batched_cut_weights
 from repro.graphs.cuts import all_directed_cut_values, enumerate_cut_sides
 from repro.graphs.digraph import DiGraph
 from repro.graphs.maxflow import max_flow
@@ -568,6 +568,32 @@ class TestSnapshotArrays:
     def test_from_ugraph_matches_per_arc_loop(self, g):
         want = _oracle_snapshot_arrays(g, g.iter_neighbors, 2 * g.num_edges)
         _assert_same_arrays(_snapshot_arrays(CSRGraph.from_ugraph(g)), want)
+
+
+class TestBicliqueLayout:
+    @given(mutated_digraphs())
+    @settings(max_examples=60, deadline=None)
+    def test_positions_follow_the_snapshot_layout(self, g):
+        """Every edge as a one-edge biclique: a snapshot with new block
+        weights equals the snapshot of the graph with those weights set."""
+        edges = list(g.edges())
+        layout = BicliqueLayout.of(g, [([u], [v]) for u, v, _ in edges])
+        want = _oracle_snapshot_arrays(g, g.iter_successors, g.num_edges)
+        _assert_same_arrays(_snapshot_arrays(layout.snapshot()), want)
+        if not edges:
+            return
+        block_weights = np.arange(len(edges), dtype=np.float64)[:, None] / 3.0
+        for (u, v, _), (w,) in zip(edges, block_weights.tolist()):
+            g.add_edge(u, v, w, combine="set")
+        snapshot = layout.snapshot(block_weights)
+        want = _oracle_snapshot_arrays(g, g.iter_successors, g.num_edges)
+        _assert_same_arrays(_snapshot_arrays(snapshot), want)
+        assert np.array_equal(layout.block_weights(snapshot), block_weights)
+
+    def test_missing_biclique_edge_rejected(self):
+        g = DiGraph(edges=[("a", "b", 1.0), ("b", "c", 2.0)])
+        with pytest.raises(GraphError):
+            BicliqueLayout.of(g, [(["a"], ["b", "c"])])
 
 
 _SIDE_KINDS = (set, frozenset, list)

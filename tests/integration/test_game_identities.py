@@ -6,6 +6,10 @@
   oracle), failed blocks included;
 * Lemma 3.2/3.3: for every bit outside a failed block, the exact
   sketch's ``estimate_inner_product`` is ``<w, M_t> = s_q / eps``;
+* snapshot first: both encoders' graphs hold the oracle's frozen
+  snapshot before anything reads their dicts, build the oracle's dicts
+  on first read, rebuild the snapshot after a mutation, pickle and
+  deep-copy as the oracle, and a game round never builds the dicts;
 * Lemma 4.4: ``ForAllDecoder.decide`` picks the first maximiser of
   ``estimate_block_weight`` over the half-size subsets of the left group,
   and returns what the label-set loop it replaced
@@ -13,6 +17,8 @@
   ``query_many``-only and ``query``-only sketches alike.
 """
 
+import copy
+import pickle
 from itertools import combinations
 from math import comb
 
@@ -22,10 +28,13 @@ import pytest
 from repro.comm.gap_hamming import sample_gap_hamming_instance
 from repro.forall_lb.decoder import ForAllDecoder
 from repro.forall_lb.encoder import ForAllEncoder
+from repro.forall_lb.game import run_gap_hamming_game
 from repro.forall_lb.params import ForAllParams
 from repro.foreach_lb.decoder import ForEachDecoder
 from repro.foreach_lb.encoder import DEFAULT_C1, ForEachEncoder
+from repro.foreach_lb.game import run_index_game
 from repro.foreach_lb.params import ForEachParams
+from repro.graphs.csr import CSRGraph
 from repro.graphs.digraph import DiGraph
 from repro.sketch.exact import ExactCutSketch
 from repro.sketch.noisy import NoisyForAllSketch, NoisyForEachSketch
@@ -141,6 +150,178 @@ class TestForEachPaths:
             assert value == pytest.approx(int(s[q]) * params.inv_eps, rel=1e-9)
             checked += 1
         assert checked > 0
+
+
+def _forall_oracle_encode(params, strings):
+    """The edge-loop skeleton, then one ``add_edge(..., combine="set")``
+    per forward edge of each string's row."""
+    graph = _forall_skeleton_loop(params)
+    for q, s in enumerate(strings):
+        pair, left_index, cluster = params.locate_string(q)
+        for v, bit in zip(params.cluster_nodes(pair + 1, cluster), s):
+            graph.add_edge((pair, left_index), v, 1.0 + float(bit), combine="set")
+    return graph
+
+
+def _foreach_case(point):
+    params, c1, seed = point
+    encoder = ForEachEncoder(params, c1=c1)
+    s = random_signstring(params.string_length, rng=seed)
+    return (
+        lambda: encoder.encode(s).graph,
+        lambda: _oracle_encode(encoder, s)[0],
+    )
+
+
+def _forall_case(params):
+    instance = sample_gap_hamming_instance(
+        num_strings=params.num_strings, length=params.string_length, rng=7
+    )
+    encoder = ForAllEncoder(params)
+    return (
+        lambda: encoder.encode(instance.strings).graph,
+        lambda: _forall_oracle_encode(params, instance.strings),
+    )
+
+
+def _forall_skeleton_case(params):
+    return (
+        lambda: ForAllEncoder(params).skeleton(),
+        lambda: _forall_skeleton_loop(params),
+    )
+
+
+SNAPSHOT_CASES = (
+    [(_foreach_case, point) for point in FOREACH_POINTS]
+    + [(_forall_case, params) for params in FORALL_POINTS]
+    + [(_forall_skeleton_case, params) for params in FORALL_POINTS]
+)
+
+
+@pytest.fixture(
+    params=SNAPSHOT_CASES, ids=lambda case: f"{case[0].__name__[1:]}-{case[1]}"
+)
+def snapshot_case(request):
+    """``(encode, oracle)``: each call builds a fresh graph."""
+    make, point = request.param
+    return make(point)
+
+
+def _dicts_built(graph):
+    # A graph made by DiGraph.from_snapshot has no _succ until it builds
+    # its dicts.
+    return "_succ" in vars(graph)
+
+
+def _snapshot_fields(csr):
+    return (
+        csr.labels,
+        csr.tails.tolist(),
+        csr.heads.tolist(),
+        csr.weights.tobytes(),
+        csr.total_weight(),
+    )
+
+
+def _oracle_snapshot(oracle):
+    return _snapshot_fields(CSRGraph.from_digraph(oracle))
+
+
+class TestSnapshotFirstGraphs:
+    def test_freeze_before_any_dict_read_is_the_oracle_snapshot(
+        self, snapshot_case
+    ):
+        encode, oracle = snapshot_case
+        graph = encode()
+        assert _snapshot_fields(graph.freeze()) == _oracle_snapshot(oracle())
+        assert graph.num_edges == oracle().num_edges
+        assert not _dicts_built(graph)
+
+    def test_first_dict_read_builds_the_oracle_dicts(self, snapshot_case):
+        encode, oracle = snapshot_case
+        frozen_first = encode()
+        snapshot = frozen_first.freeze()
+        assert _layout(frozen_first) == _layout(oracle())
+        assert frozen_first.freeze() is snapshot
+        # Built, it is a plain DiGraph: the attribute-miss hook stays off
+        # DiGraph, where it would slow every attribute read of every graph.
+        assert type(frozen_first) is DiGraph
+        assert not hasattr(DiGraph, "__getattr__")
+        read_first = encode()
+        assert _layout(read_first) == _layout(oracle())
+        assert _snapshot_fields(read_first.freeze()) == _oracle_snapshot(oracle())
+        assert read_first.total_weight() == oracle().total_weight()
+
+    @pytest.mark.parametrize("freeze_first", [True, False])
+    def test_mutation_makes_freeze_rebuild(self, snapshot_case, freeze_first):
+        encode, oracle = snapshot_case
+        graph, expected = encode(), oracle()
+        snapshot = graph.freeze() if freeze_first else None
+        u, v, w = next(expected.edges())
+        for g in (graph, expected):
+            g.add_edge(u, v, w + 0.5, combine="set")
+        rebuilt = graph.freeze()
+        assert rebuilt is not snapshot
+        assert _snapshot_fields(rebuilt) == _oracle_snapshot(expected)
+        assert _layout(graph) == _layout(expected)
+
+    def test_pickle_and_deepcopy_of_unread_graph_give_oracle(self, snapshot_case):
+        encode, oracle = snapshot_case
+        for clone in (pickle.loads(pickle.dumps(encode())), copy.deepcopy(encode())):
+            assert _layout(clone) == _layout(oracle())
+            assert _snapshot_fields(clone.freeze()) == _oracle_snapshot(oracle())
+
+
+class _DictsUnbuiltSketch(ExactCutSketch):
+    """Exact, but raises if the graph it sketches has built its dicts by
+    the time it is built, sized or queried."""
+
+    def __init__(self, graph):
+        self._source = graph
+        self._check()
+        super().__init__(graph)
+
+    def _check(self):
+        if _dicts_built(self._source):
+            raise AssertionError("the round built the encoded graph's dicts")
+
+    def size_bits(self):
+        self._check()
+        return super().size_bits()
+
+    def query(self, side):
+        self._check()
+        return super().query(side)
+
+    def query_many(self, sides):
+        self._check()
+        return super().query_many(sides)
+
+    def query_rows(self, labels, member):
+        self._check()
+        return super().query_rows(labels, member)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_game_rounds_never_build_the_dicts(jobs):
+    """Every sketch of a round reads the snapshot; nothing on the game path
+    may build the encoded graph's dicts (a worker's raise fails the map)."""
+    index = run_index_game(
+        FOREACH_POINTS[1][0],
+        lambda graph, _rng: _DictsUnbuiltSketch(graph),
+        rounds=3,
+        rng=4,
+        jobs=jobs,
+    )
+    assert index.success_rate == 1.0
+    gap = run_gap_hamming_game(
+        FORALL_POINTS[0],
+        lambda graph, _rng: _DictsUnbuiltSketch(graph),
+        rounds=3,
+        rng=4,
+        jobs=jobs,
+    )
+    assert gap.summary.trials == 3
 
 
 def _first_argmax(decoder, sketch, params, string_index, t):

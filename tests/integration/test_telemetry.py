@@ -62,6 +62,90 @@ class TestForEachGameTelemetry:
         assert obs.REGISTRY.counter("sketch.queries").value > 0
 
 
+class TestEncodedSnapshotTelemetry:
+    """One traced round records what it did when the sketch froze a
+    written dict graph: one ``csr.freeze.miss`` and one
+    ``memory.graph_bytes`` footprint per snapshot (the decoder's
+    skeleton, then the encoded graph), never a ``csr.freeze.hit``, and
+    footprints that measure what ``CSRGraph.from_digraph`` of the
+    written graphs measures."""
+
+    @staticmethod
+    def _traced_round(play):
+        from repro.obs.memory import profiling
+
+        with obs.enabled(ListSink()):
+            with profiling(interval=5.0) as profiler:
+                play()
+        graph_bytes = [
+            record["measured_bytes"]
+            for record in profiler.footprints
+            if record["metric"] == "memory.graph_bytes"
+        ]
+        return obs.snapshot(), graph_bytes
+
+    @staticmethod
+    def _assert_counts(snap):
+        assert snap["csr.freeze.miss"] == 2
+        assert snap.get("csr.freeze.hit", 0) == 0
+        assert snap["memory.graph_bytes.count"] == 2
+        assert snap["memory.sketch_bytes.count"] == 1
+
+    def test_index_round(self):
+        from repro.foreach_lb.encoder import ForEachEncoder
+        from repro.foreach_lb.game import run_index_game
+        from repro.foreach_lb.params import ForEachParams
+        from repro.graphs.csr import CSRGraph
+        from repro.obs.memory import deep_sizeof
+        from repro.sketch.exact import ExactCutSketch
+        from repro.utils.bitstrings import random_signstring
+
+        params = ForEachParams(inv_eps=4, sqrt_beta=2, num_groups=3)
+        snap, graph_bytes = self._traced_round(
+            lambda: run_index_game(
+                params, lambda g, _r: ExactCutSketch(g), rounds=1, rng=3
+            )
+        )
+        self._assert_counts(snap)
+        assert snap["sketch.queries"] == 4
+        encoder = ForEachEncoder(params)
+        s = random_signstring(params.string_length, rng=0)
+        written = encoder.encode(s).graph.copy()
+        assert graph_bytes == [
+            deep_sizeof(CSRGraph.from_digraph(encoder.skeleton())),
+            deep_sizeof(CSRGraph.from_digraph(written)),
+        ]
+
+    def test_gap_hamming_round(self):
+        from repro.comm.gap_hamming import sample_gap_hamming_instance
+        from repro.forall_lb.encoder import ForAllEncoder
+        from repro.forall_lb.game import run_gap_hamming_game
+        from repro.forall_lb.params import ForAllParams
+        from repro.graphs.csr import CSRGraph
+        from repro.obs.memory import deep_sizeof
+        from repro.sketch.exact import ExactCutSketch
+
+        params = ForAllParams(inv_eps_sq=4, beta=2, num_groups=3)
+        snap, graph_bytes = self._traced_round(
+            lambda: run_gap_hamming_game(
+                params, lambda g, _r: ExactCutSketch(g), rounds=1, rng=3
+            )
+        )
+        self._assert_counts(snap)
+        instance = sample_gap_hamming_instance(
+            num_strings=params.num_strings, length=params.string_length, rng=0
+        )
+        encoder = ForAllEncoder(params)
+        written = encoder.encode(instance.strings).graph.copy()
+        skeleton = encoder.skeleton().copy()
+        # The encoded graph's snapshot comes first: the decoder is built
+        # after the sketch.
+        assert graph_bytes == [
+            deep_sizeof(CSRGraph.from_digraph(written)),
+            deep_sizeof(CSRGraph.from_digraph(skeleton)),
+        ]
+
+
 class TestOracleTelemetry:
     def test_global_mirror_matches_local_meter(self):
         from repro.graphs.generators import planted_min_cut_ugraph
