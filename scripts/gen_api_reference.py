@@ -121,8 +121,8 @@ to the theoretical bit costs the theorems bound.  `mode="sample"`
 the allocation interval's net/peak bytes to the active span path — the
 same self-time model `SpanProfiler` uses for wall time.  While a
 profiler is active, `deep_footprint()` walks core structures as they
-are built (sketches beside their `size_bits()`, CSR snapshots,
-shared-memory result arenas; `deep_sizeof` is id-memoised and prices
+are built (sketches beside their `size_bits()`, CSR snapshots;
+`deep_sizeof` is id-memoised and prices
 instance dicts as materialised copies so measurements are
 deterministic across worker counts), so every sketch row carries a
 measured-bytes/theoretical-bits ratio.  Everything is emitted as
@@ -266,8 +266,10 @@ prints identical stdout with `--kernels python` and with native.
 ### Parallel trial execution
 
 `TrialPool(jobs, timeout, chunk_factor)` fans a list of independent
-trials out over forked worker processes, started for each `map` and
-joined before it returns; `run_trials(fn, n_trials, rng, jobs)` is the
+trials out over forked worker processes that outlive the `map`: the
+next map hires them, and each exits on its own once it has rested
+20 ms with no map (`release_workers()` retires them at once);
+`run_trials(fn, n_trials, rng, jobs)` is the
 seeded form every multi-trial loop uses (foreach / forall game rounds,
 local-query seed sweeps, `harness.sweep`, E1–E9).
 Worker count resolves explicit argument → `set_default_jobs` (what
@@ -278,9 +280,12 @@ inside a worker so pools never nest.
 The engine's contract is **bit-identity with the serial path for any
 worker count**: trial seeds are drawn up front via
 `utils.rng.spawn_seeds` (advancing the parent generator exactly as
-`spawn_rngs` would), closures travel to workers by fork inheritance
-(no pickling), and chunk results plus per-worker observability deltas
-merge back in trial order (`repro.parallel.obsmerge`), so counters,
+`spawn_rngs` would), each map's work is pickled once and sent to the
+workers (closures by value, over the worker's own module globals) or,
+when it does not pickle or telemetry is on, reaches workers forked for
+the map by inheritance, and chunk results plus per-worker
+observability deltas merge back in trial order
+(`repro.parallel.obsmerge`), so counters,
 histogram sample sequences, wire transcripts, and even non-associative
 float reductions reproduce the serial run byte for byte.  Crashed or
 hung workers get one retry on a fresh process with the same spawned
@@ -290,15 +295,6 @@ cannot be pickled, raises `ParallelError` naming it at once.
 `tests/parallel/test_determinism.py` checks this at several worker
 counts, and CI's digest matrix checks that `run_all` prints identical
 stdout at jobs 1 and 2.
-
-Numeric result tables (uniform floats, ints, or same-shape ndarrays)
-travel back through a preallocated `multiprocessing.shared_memory`
-arena (`repro.parallel.shmipc`) instead of the workers' pickle pipes
-— only a small descriptor crosses the pipe; anything non-numeric
-falls back to pickle per chunk, and `REPRO_SHM=0` disables the arena
-entirely (`REPRO_SHM_SLOT_BYTES` sizes the per-chunk slots).  Either
-transport returns value-identical lists; the last `map`'s split is on
-`TrialPool.last_transport_stats`.
 """,
 }
 

@@ -58,7 +58,7 @@ def half_subset_table(
     when there are more than ``enumeration_limit`` of them (the decoder
     then samples).  Cached and read-only, in the smallest unsigned dtype
     that holds an index: :func:`run_gap_hamming_game` builds it before
-    its pool forks, so workers inherit it.
+    its rounds run, so a worker forked for them inherits it.
     """
     half = group_size // 2
     total = comb(group_size, half)

@@ -63,13 +63,20 @@ def _layout(params: ForAllParams) -> BicliqueLayout:
 
 
 class ForAllEncoder:
-    """Encode Gap-Hamming string families into (2 beta)-balanced graphs."""
+    """Encode Gap-Hamming string families into (2 beta)-balanced graphs.
+
+    It pickles as its parameters and unpickles to this process's shared
+    encoder of them (:func:`_shared_encoder`); encoding never changes it.
+    """
 
     def __init__(self, params: ForAllParams):
         self.params = params
-        # Shared by every encoder and decoder of these parameters, and
-        # built here, before a game's pool forks, so its workers inherit it.
+        # Shared by every encoder and decoder of these parameters in this
+        # process; a pool worker forked after it was built inherits it.
         self._layout = _layout(params)
+
+    def __reduce__(self):
+        return _shared_encoder, (self.params,)
 
     def skeleton(self) -> DiGraph:
         """The string-independent part: backward edges plus base weight 1.
@@ -129,3 +136,9 @@ class ForAllEncoder:
             ):
                 graph.add_edge(u, v, weight, combine="set")
         return graph
+
+
+@lru_cache(maxsize=8)
+def _shared_encoder(params: ForAllParams) -> ForAllEncoder:
+    """The one encoder per parameter set that unpickling gives."""
+    return ForAllEncoder(params)

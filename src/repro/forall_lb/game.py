@@ -130,7 +130,8 @@ def run_gap_hamming_game(
                 _obs_count("game.forall.rounds")
         return success, sketch_bits, float(decision.queries_made), sketch_bytes
 
-    # Built before the pool forks, so every worker inherits the table.
+    # Built here, so a worker forked for these rounds inherits the table
+    # (a resident worker builds its own once).
     half_subset_table(params.group_size, enumeration_limit)
     outcomes = run_trials(play_round, rounds, gen, jobs=jobs)
     successes, total_bits, total_queries, total_bytes = map(

@@ -22,6 +22,7 @@ sketches, whose failures are independent across queries.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import FrozenSet, List, Sequence, Tuple
 
 import numpy as np
@@ -49,7 +50,12 @@ class CutQueryPlan:
 
 
 class ForEachDecoder:
-    """Recover bits of Alice's string from a for-each cut sketch."""
+    """Recover bits of Alice's string from a for-each cut sketch.
+
+    Like :class:`~repro.foreach_lb.encoder.ForEachEncoder`, it pickles
+    as its parameters and unpickles to this process's shared decoder of
+    them (:func:`_shared_decoder`); decoding never changes it.
+    """
 
     def __init__(self, params: ForEachParams):
         self.params = params
@@ -59,6 +65,9 @@ class ForEachDecoder:
         # Frozen once: every bit's four fixed-backward offsets are
         # evaluated through this snapshot in a single batched kernel call.
         self._skeleton_csr = self._encoder.skeleton().freeze()
+
+    def __reduce__(self):
+        return _shared_decoder, (self.params,)
 
     def query_plans(self, q: int) -> List[CutQueryPlan]:
         """The four cut queries recovering bit ``q`` (Figure 1 layout)."""
@@ -136,3 +145,9 @@ class ForEachDecoder:
         for q in range(self.params.string_length):
             out[q] = self.decode_bit(sketch, q, boost=boost)
         return out
+
+
+@lru_cache(maxsize=8)
+def _shared_decoder(params: ForEachParams) -> ForEachDecoder:
+    """The one decoder per parameter set that unpickling gives."""
+    return ForEachDecoder(params)

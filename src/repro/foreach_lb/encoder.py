@@ -132,7 +132,13 @@ def _layout(params: ForEachParams) -> BicliqueLayout:
 
 
 class ForEachEncoder:
-    """Encode sign strings into balanced digraphs per Theorem 1.1."""
+    """Encode sign strings into balanced digraphs per Theorem 1.1.
+
+    It pickles as its parameters and unpickles to this process's shared
+    encoder of them (:func:`_shared_encoder`): nothing it holds changes
+    after ``__init__``, and its Lemma 3.2 matrix and skeleton would
+    make a pickled game round hundreds of kilobytes.
+    """
 
     def __init__(self, params: ForEachParams, c1: float = DEFAULT_C1):
         if c1 <= 0:
@@ -150,9 +156,12 @@ class ForEachEncoder:
         # dicts instead of rebuilding them (see DiGraph.copy).
         self._skeleton = _skeleton_graph(params).copy()
         self._blocks = _blocks(params)
-        # Shared by every encoder of these parameters, and built here,
-        # before a game's pool forks, so its workers inherit it.
+        # Shared by every encoder of these parameters in this process;
+        # a pool worker forked after it was built inherits it.
         self._layout = _layout(params)
+
+    def __reduce__(self):
+        return _shared_encoder, (self.params, self.c1)
 
     @property
     def matrix(self) -> Lemma32Matrix:
@@ -233,3 +242,9 @@ class ForEachEncoder:
         ):
             _write_block(graph, self.params, block, weights)
         return graph
+
+
+@lru_cache(maxsize=8)
+def _shared_encoder(params: ForEachParams, c1: float) -> ForEachEncoder:
+    """The one encoder per parameter set that unpickling gives."""
+    return ForEachEncoder(params, c1)

@@ -34,7 +34,7 @@ round trips).  The modules:
   span-attributed tracemalloc profiler with a background peak-RSS
   sampler, ``deep_footprint()`` resident-bytes walking of the core
   structures (CSR snapshots, sketches alongside their theoretical
-  ``size_bits()``, the shared-memory result arena), and
+  ``size_bits()``), and
   measured-bytes-vs-theorem-envelope certification via
   :class:`~repro.obs.bounds.SpaceBoundSpec` entries over the byte
   columns the tables print under ``run_all --memory``;
@@ -43,7 +43,8 @@ round trips).  The modules:
   measured-memory ``mem:``/``rss:`` ceilings) evaluated live, emitting
   ``slo.violation`` events (``run_all --slo`` exits 6);
 * :mod:`repro.obs.exporters` — Prometheus-text HTTP endpoint and
-  streaming JSONL export feeding ``scripts/obs_watch.py``;
+  streaming JSONL export feeding ``scripts/obs_watch.py`` (imported
+  on first use);
 * :mod:`repro.obs.session` — :class:`ObsSession`, the one wiring of
   all of the above for ``run_all`` and the serving daemon.
 
@@ -68,11 +69,6 @@ from repro.obs.export import (
     chrome_trace,
     collapsed_stacks,
     validate_chrome_trace,
-)
-from repro.obs.exporters import (
-    JsonlExporter,
-    MetricsServer,
-    prometheus_text,
 )
 from repro.obs.live import (
     LiveAggregator,
@@ -108,6 +104,19 @@ from repro.obs.sink import JsonlSink, ListSink, emit, event
 from repro.obs.slo import SloEngine, SloRule, default_rules, parse_spec
 from repro.obs.session import ObsSession
 from repro.obs.trace import Span, active_span, current_path, span
+
+#: Loaded on first use: :mod:`repro.obs.exporters` imports
+#: ``http.server`` (and with it ``email`` and ``ssl``), which a process
+#: that serves no metrics should not carry.
+_EXPORTERS = ("JsonlExporter", "MetricsServer", "prometheus_text")
+
+
+def __getattr__(name):
+    if name in _EXPORTERS:
+        from repro.obs import exporters
+
+        return getattr(exporters, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 __all__ = [
     "BoundCheck",

@@ -20,8 +20,7 @@ instruments that share one lifecycle:
   the core data structures: CSR snapshots (numpy array payloads),
   sketches (measured bytes *alongside* the theoretical
   ``size_bits()``, so every observation carries a
-  measured-bytes/theoretical-bits ratio), and the shared-memory
-  :class:`~repro.parallel.shmipc.ResultArena`.
+  measured-bytes/theoretical-bits ratio).
 * :func:`register_space_bounds` — :class:`~repro.obs.bounds.
   SpaceBoundSpec` entries for the Thm 1.1 / 1.2 / 1.3 envelopes,
   certifying the *measured* bytes a table prints (``sketch_bytes`` in
@@ -192,10 +191,6 @@ def _is_csr(obj: Any) -> bool:
     )
 
 
-def _is_arena(obj: Any) -> bool:
-    return hasattr(obj, "_shm") and hasattr(obj, "slot_size")
-
-
 def deep_footprint(
     obj: Any,
     label: Optional[str] = None,
@@ -204,7 +199,7 @@ def deep_footprint(
     """Measured resident bytes of one core structure, with context.
 
     Returns a flat record: ``structure`` (``sketch`` / ``csr_graph`` /
-    ``arena`` / ``object``), ``type``, ``measured_bytes``, and — for
+    ``object``), ``type``, ``measured_bytes``, and — for
     sketches — ``theoretical_bits`` plus ``bytes_per_bit``, the
     measured-bytes/theoretical-bits ratio that says how many resident
     bytes the implementation pays per information-theoretic bit
@@ -220,12 +215,6 @@ def deep_footprint(
     }
     if label is not None:
         record["label"] = label
-    if _is_arena(obj):
-        record["structure"] = "arena"
-        record["measured_bytes"] = int(obj._shm.size)
-        record["slots"] = int(getattr(obj, "slots", 0))
-        record["slot_size"] = int(obj.slot_size)
-        return record
     if _is_csr(obj):
         record["structure"] = "csr_graph"
         record["measured_bytes"] = deep_sizeof(obj)

@@ -27,7 +27,6 @@ from typing import Any, Callable, Dict, List, Optional, Sequence
 from repro.errors import ObsError
 from repro.obs import bounds, core, live, memory, metrics
 from repro.obs.capture import WireCapture, capturing
-from repro.obs.exporters import JsonlExporter, MetricsServer
 from repro.obs.profile import SpanProfiler
 from repro.obs.sink import JsonlSink, RotatingJsonlSink, event
 from repro.obs.slo import SloEngine, SloRule, default_rules, parse_spec
@@ -145,6 +144,10 @@ class ObsSession:
             stack.enter_context(core.enabled())
             core.STATE.sink = self.sink  # None drops events; metrics record
         if self._live:
+            # Imported here: it loads http.server, which only a live
+            # export or a metrics port uses.
+            from repro.obs.exporters import JsonlExporter, MetricsServer
+
             bus = stack.enter_context(live.publishing())
             aggregator = live.LiveAggregator().attach(bus)
             if self._rules is not None:

@@ -26,15 +26,27 @@ sample sequences, wire transcripts, and float summation order match a
 serial run exactly (the PR 2/PR 4 reconciliation invariants hold for
 any worker count).
 
-Process model: each :meth:`TrialPool.map` forks ``min(jobs, chunks)``
-workers, each with its own pipe.  The parent waits on every busy
+Process model: a :meth:`TrialPool.map` runs on ``min(jobs, chunks)``
+forked workers, each with its own pipe.  The parent waits on every busy
 worker's pipe at once (:func:`multiprocessing.connection.wait`), and
 hands the worker that sent back a chunk's payload the next chunk, in
-chunk order.  Workers fork after the work table, the result arena and
-the heartbeat queue are installed, so they inherit all three, closures
-built for this ``map`` included.  Every worker is joined before ``map``
-returns or raises: its exit runs ``multiprocessing``'s finalizers (which
-flush its heartbeats) and its CPU time is reaped.
+chunk order.  Workers outlive their map: at its end they rest, and a
+worker that rests for ``_IDLE_S`` seconds without new work tells the
+parent and exits, so :func:`multiprocessing.active_children` reaps it
+and its CPU time reaches ``RUSAGE_CHILDREN``.  Until then the next map
+hires it again.  Each map pickles its ``(fn, items)`` once and sends it
+to the workers it hires; a function no module attribute names (a
+closure, a lambda) travels by value, its code and cell contents, and
+takes its globals from the worker's own copy of its module.  A resident
+worker therefore sees module globals as they were when it forked, and
+it is retired when the parent state it relies on changes (the kernel
+backend selection, whether wire captures or bound monitors are
+installed, the binding of :func:`_run_chunk`).  A map whose work does
+not pickle, or that runs with telemetry on, a live bus or a memory
+profiler installed, forks fresh workers after its work table and
+heartbeat queue are installed, so they inherit both; they are joined
+before ``map`` returns or raises.  :func:`release_workers` retires the
+resident workers at once.
 
 Failure protocol: an exception raised *by the trial function*, or a
 trial result that cannot be pickled, aborts the run with a
@@ -44,19 +56,26 @@ first in trial order is named.  A *crashed or hung worker* (its pipe
 closes, or a chunk outlives ``timeout``) triggers an isolation pass:
 every not-yet-finished chunk re-runs one trial at a time on a fresh
 worker, each trial retried once with the same spawned seed; a trial
-that kills its process twice raises ``ParallelError`` naming it.  There
-is no code path that returns a silent partial table.
+that kills its process twice raises ``ParallelError`` naming it.  Every
+worker a failed map hired is joined before it raises.  There is no code
+path that returns a silent partial table.
 """
 
 from __future__ import annotations
 
+import io
+import marshal
 import math
 import multiprocessing as mp
 import os
+import pickle
 import queue as _queue
+import sys
 import time
 import traceback as _tb
-from collections import deque
+import types
+import weakref
+from bisect import insort
 from itertools import count as _itercount
 from multiprocessing.connection import wait as _wait_ready
 from multiprocessing.reduction import ForkingPickler
@@ -66,7 +85,6 @@ import numpy as np
 
 from repro.errors import ParallelError
 from repro.obs import live as _live
-from repro.parallel import shmipc
 from repro.utils.rng import RngLike, spawn_seeds
 
 #: Environment variable consulted when no explicit ``jobs`` is given.
@@ -80,15 +98,28 @@ _DEFAULT_JOBS: Optional[int] = None
 #: there (forking from a pool worker would oversubscribe and deadlock).
 _IN_WORKER = False
 
-#: Work-unit table, keyed by token.  Entries are installed *before* the
-#: workers fork so they inherit them — this is what lets ``map`` accept
-#: closures and lambdas that pickle cannot ship.
+#: Work-unit table, keyed by token.  The parent installs each map's
+#: work before it forks any worker for it, so fresh workers inherit it;
+#: a resident worker holds only the work it was last sent.
 _WORK: Dict[int, Tuple[Callable[[Any], Any], Sequence[Any]]] = {}
 _TOKENS = _itercount()
 
-#: Shared-memory result arena for the in-flight ``map`` call, installed
-#: before the workers fork so they inherit the open mapping.
-_ARENA: Optional[shmipc.ResultArena] = None
+#: Every live worker of this process, held weakly: the strong reference
+#: is ``multiprocessing``'s own child list, so once it reaps a worker
+#: that exited, the worker and the parent's end of its pipe are freed.
+_WORKERS: "weakref.WeakSet[_Worker]" = weakref.WeakSet()
+
+#: Seconds a resting worker waits for its next map before it exits.
+#: The maps of a ``games`` pass follow each other within a few
+#: milliseconds; a gap this long means the caller went on to other work.
+_IDLE_S = 0.02
+
+#: Worker -> parent: the worker rested ``_IDLE_S`` and is exiting, so
+#: the chunk the parent may have sent meanwhile is still to be run.
+_IDLE = "idle"
+
+#: Parent -> worker: the map is over; rest until the next one.
+_REST = "rest"
 
 #: Heartbeat queue for the in-flight ``map`` call, installed before the
 #: workers fork (they inherit it) and only when the parent has a
@@ -110,8 +141,8 @@ _EXIT_WAIT_S = 2.0
 def fork_available() -> bool:
     """Whether the platform supports the ``fork`` start method.
 
-    The engine requires ``fork`` (work units travel by inheritance, not
-    pickling); without it every pool degrades to the serial path.
+    The engine requires ``fork`` (workers are forks of the parent);
+    without it every pool degrades to the serial path.
     """
     return "fork" in mp.get_all_start_methods()
 
@@ -186,16 +217,10 @@ def _run_chunk(token: int, start: int, stop: int, slot: int = -1) -> Dict[str, A
     ``{"start", "results", "delta", "pid"}`` on success, with
     ``"failure"`` describing the first trial whose function raised
     (results stop there).  Worker crashes never return at all; the
-    parent sees the worker's pipe close instead.
-
-    ``slot >= 0`` points at this chunk's slot in the fork-inherited
-    shared-memory arena: uniformly numeric results are written there in
-    place and only a descriptor travels back over the pickle pipe
-    (``"shm"`` in the payload).  ``slot = -1`` — the isolation pass, or
-    the transport disabled — always ships results by pickle.
+    parent sees the worker's pipe close instead.  ``slot`` is the
+    chunk's position in its map's plan (-1 on the isolation pass); the
+    worker passes it on so a wrapper of this function can read it.
     """
-    global _IN_WORKER
-    _IN_WORKER = True
     from repro.parallel import obsmerge
 
     fn, items = _WORK[token]
@@ -223,19 +248,9 @@ def _run_chunk(token: int, start: int, stop: int, slot: int = -1) -> Dict[str, A
             heartbeat.beat("progress", trial=index, done=len(results))
     if heartbeat is not None:
         heartbeat.beat("end", trial=stop - 1, done=len(results))
-    shm_descriptor: Optional[Dict[str, Any]] = None
-    if slot >= 0 and failure is None and _ARENA is not None:
-        try:
-            shm_descriptor = _ARENA.write(slot, results)
-        except Exception:
-            shm_descriptor = None  # any arena trouble -> pickle fallback
-    if shm_descriptor is not None:
-        shm_descriptor["slot"] = slot
-        results = []
     return {
         "start": start,
         "results": results,
-        "shm": shm_descriptor,
         "failure": failure,
         "delta": obsmerge.worker_end(handle),
         "pid": os.getpid(),
@@ -246,18 +261,35 @@ def _serve(token: int, conn) -> None:
     """Worker process body: run each chunk the parent sends, reply with
     its payload.
 
-    A task is ``(start, stop, slot)``, run by :func:`_run_chunk` through
+    A task ``(start, stop, slot)`` runs through :func:`_run_chunk`, by
     this module's global (so a wrapper installed before the fork runs
-    too).  ``None`` ends the loop; the process then exits through
+    too).  ``(token, data)`` replaces the work with the unpickled
+    ``data``.  :data:`_REST` ends a map: a worker that then hears
+    nothing for ``_IDLE_S`` seconds sends :data:`_IDLE` and exits.
+    ``None`` ends the loop at once; the process then exits through
     ``multiprocessing``'s bootstrap, which runs its finalizers.
     """
+    global _IN_WORKER
+    _IN_WORKER = True
+    resting = False
     while True:
+        if resting and not conn.poll(_IDLE_S):
+            conn.send(_IDLE)
+            return
         try:
             task = conn.recv()
         except EOFError:  # the parent is gone
             return
         if task is None:
             return
+        resting = task == _REST
+        if resting:
+            continue
+        if len(task) == 2:
+            token, data = task
+            _WORK.clear()
+            _WORK[token] = pickle.loads(data)
+            continue
         start, stop, slot = task
         payload = _run_chunk(token, start, stop, slot)
         try:
@@ -288,38 +320,236 @@ def _unpicklable(payload: Dict[str, Any], error: Exception) -> Dict[str, Any]:
             _tb.format_exception(type(error), error, error.__traceback__)
         ),
     }
-    return dict(payload, results=[], shm=None, delta=None, failure=failure)
+    return dict(payload, results=[], delta=None, failure=failure)
 
 
-class _Worker:
-    """One forked worker process and the parent's end of its pipe."""
+# -- shipping work to resident workers ----------------------------------
 
-    def __init__(self, ctx, token: int):
+
+def _named(fn: types.FunctionType) -> bool:
+    """Whether ``fn`` is its module's attribute of its qualified name,
+    so pickle can send it by reference."""
+    obj: Any = sys.modules.get(fn.__module__)
+    for name in fn.__qualname__.split("."):
+        obj = getattr(obj, name, None)
+    return obj is fn
+
+
+def _make_function(code, module, name, qualname, defaults, kwdefaults, cells, attrs):
+    """Rebuild a function :class:`_WorkPickler` sent by value, over the
+    globals of this process's copy of its module."""
+    fn = types.FunctionType(
+        marshal.loads(code),
+        vars(sys.modules[module]),
+        name,
+        defaults,
+        tuple(types.CellType(value) for value in cells),
+    )
+    fn.__qualname__ = qualname
+    fn.__kwdefaults__ = kwdefaults
+    fn.__dict__.update(attrs)
+    return fn
+
+
+class _WorkPickler(pickle.Pickler):
+    """Pickles a function that no module attribute names by value: its
+    code, defaults and cell contents, but not its globals."""
+
+    def reducer_override(self, obj):
+        if type(obj) is not types.FunctionType or _named(obj):
+            return NotImplemented
+        module = sys.modules.get(obj.__module__)
+        if module is None or vars(module) is not obj.__globals__:
+            raise pickle.PicklingError(
+                f"{obj.__qualname__} does not run over its module's globals"
+            )
+        cells = tuple(cell.cell_contents for cell in obj.__closure__ or ())
+        return _make_function, (
+            marshal.dumps(obj.__code__), obj.__module__, obj.__name__,
+            obj.__qualname__, obj.__defaults__, obj.__kwdefaults__, cells,
+            obj.__dict__,
+        )
+
+
+def _fork_state() -> Optional[Tuple[Any, ...]]:
+    """The parent state a resident worker must share, or None when a map
+    must fork fresh workers (telemetry on, a live bus or a memory
+    profiler installed: each needs objects only a fork can hand over)."""
+    from repro.kernels import registry
+    from repro.obs import bounds, capture, core, memory
+
+    if core.STATE.enabled or _live.active() is not None or memory.active() is not None:
+        return None
+    try:
+        kernels = registry.selection_order()
+    except registry.KernelUnavailableError:
+        return None
+    return kernels, capture.active() is not None, bounds.active(), _run_chunk
+
+
+def _shipment(token: int) -> Optional[Tuple[Tuple[Any, ...], bytes]]:
+    """``(fork state, pickled work)`` of map ``token`` for resident
+    workers, or None when it must fork fresh workers."""
+    state = _fork_state()
+    if state is None:
+        return None
+    buffer = io.BytesIO()
+    try:
+        _WorkPickler(buffer, pickle.HIGHEST_PROTOCOL).dump(_WORK[token])
+    except Exception:  # any object that does not pickle: fork instead
+        return None
+    return state, buffer.getvalue()
+
+
+# -- workers -----------------------------------------------------------
+
+#: Workers fork; without ``fork`` the pool never builds one.
+_ForkProcess = getattr(mp.context, "ForkProcess", mp.Process)
+
+
+class _Worker(_ForkProcess):
+    """One forked worker process and the parent's end of its pipe.
+
+    ``state`` is the :func:`_fork_state` a resident worker was forked
+    under; None for a worker that lives for one map (or one isolated
+    trial) only.
+    """
+
+    def __init__(self, ctx, token: int, state: Optional[Tuple[Any, ...]] = None):
         self.conn, child_conn = ctx.Pipe()
-        self.process = ctx.Process(target=_serve, args=(token, child_conn))
-        self.process.start()
-        # The worker now holds the only copy of its end, so the parent
-        # reads EOF on its own end once the worker dies.
-        child_conn.close()
+        super().__init__(target=_serve, args=(token, child_conn))
+        self.state = state
+        #: The work the worker holds: it inherits the map it forks for.
+        self.token = token
         #: The chunk in flight, ``(start, stop, slot)``, or None when idle.
         self.task: Optional[Tuple[int, int, int]] = None
         self.deadline = math.inf
+        # Listed before the fork, so the child closes its copy of the
+        # parent's end (see _forget_workers).
+        _WORKERS.add(self)
+        try:
+            self.start()
+        except BaseException:
+            _WORKERS.discard(self)
+            raise
+        finally:
+            # The worker now holds the only copy of its end, so the
+            # parent reads EOF on its own end once the worker dies.
+            child_conn.close()
+
+    def load(self, token: int, data: bytes) -> None:
+        """Send the worker map ``token``'s work unless it holds it."""
+        if self.token != token:
+            self.token = token
+            self._put((token, data))
 
     def send(self, task: Tuple[int, int, int], timeout: Optional[float]) -> None:
-        """Hand the worker ``task``; it must answer within ``timeout`` s."""
-        self.conn.send(task)
+        """Hand the worker ``task``; it must answer within ``timeout`` s.
+
+        A worker that is gone answers with EOF, or with :data:`_IDLE`
+        when it left at rest; :meth:`receive` reads which.
+        """
+        self._put(task)
         self.task = task
         self.deadline = (
             math.inf if timeout is None else time.monotonic() + timeout
         )
 
-    def receive(self) -> Optional[Dict[str, Any]]:
-        """The in-flight chunk's payload, or None if the worker died."""
+    def receive(self) -> Any:
+        """The in-flight chunk's payload, :data:`_IDLE` if the worker
+        left at rest before it took the chunk, or None if it died."""
         self.task = None
         try:
             return self.conn.recv()
         except (EOFError, OSError):
             return None
+
+    def _put(self, message: Any) -> None:
+        try:
+            self.conn.send(message)
+        except OSError:
+            pass  # the worker is gone; its pipe tells receive() how
+
+
+def _hire(ctx, token: int, shipment, taken: List[_Worker]) -> _Worker:
+    """A worker for map ``token`` outside ``taken``: without a
+    ``shipment``, a fresh fork for this map; with one, a resident worker
+    forked under the same state (others are retired) or a new one."""
+    if shipment is None:
+        return _Worker(ctx, token)
+    state, data = shipment
+    for worker in list(_WORKERS):
+        if worker.state is None or worker in taken:
+            continue
+        if worker.state == state:
+            worker.load(token, data)
+            return worker
+        _stop([worker])
+    return _Worker(ctx, token, state)
+
+
+def _stop(workers: List[_Worker]) -> None:
+    """Tell idle workers to exit, terminate busy ones, join them all.
+
+    Beats are drained while waiting: a worker's exit flushes its
+    heartbeat queue, which blocks while the queue's pipe is full.
+    """
+    for worker in workers:
+        _WORKERS.discard(worker)
+        if worker.task is None:
+            worker._put(None)
+        else:
+            worker.terminate()
+    deadline = time.monotonic() + _EXIT_WAIT_S
+    running = list(workers)
+    while running:
+        _drain_heartbeats()
+        wait_s = deadline - time.monotonic()
+        if wait_s <= 0:
+            for worker in running:
+                worker.kill()
+            break
+        _wait_ready([worker.sentinel for worker in running], min(wait_s, _POLL_S))
+        running = [worker for worker in running if worker.exitcode is None]
+    for worker in workers:
+        worker.join()
+        worker.close()
+        worker.conn.close()
+
+
+def release_workers() -> None:
+    """Retire every resident worker now: each exits and is joined.
+
+    Without a call, a resident worker exits by itself once it has
+    rested ``_IDLE_S`` seconds.
+    """
+    _stop(list(_WORKERS))
+
+
+def _forget_workers() -> None:
+    """In a forked child: close the parent's ends of its workers' pipes
+    (so each worker reads EOF once the parent is gone) and forget them."""
+    for worker in list(_WORKERS):
+        worker.conn.close()
+    _WORKERS.clear()
+
+
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_forget_workers)
+
+
+def _drain_heartbeats() -> None:
+    """Move queued worker beats onto the live bus, then tick it."""
+    hb_queue = _HEARTBEAT_Q
+    if hb_queue is None:
+        return
+    while True:
+        try:
+            record = hb_queue.get_nowait()
+        except (_queue.Empty, OSError, ValueError):
+            break
+        _live.publish(record)
+    _live.tick()
 
 
 class TrialPool:
@@ -328,9 +558,8 @@ class TrialPool:
     ``jobs`` resolves through :func:`resolve_jobs`; ``timeout`` (seconds
     per in-flight chunk, None = wait forever) guards against hung
     workers; ``chunk_factor`` tunes the work-stealing granularity of
-    :func:`chunk_plan`.  A pool object is cheap — its workers live only
-    for the duration of each :meth:`map` call, so the work table
-    installed just before forking is always current.
+    :func:`chunk_plan`.  A pool object is cheap: the workers belong to
+    the module, and every pool's maps hire from them.
     """
 
     def __init__(
@@ -342,14 +571,6 @@ class TrialPool:
         self.jobs = resolve_jobs(jobs)
         self.timeout = timeout
         self.chunk_factor = chunk_factor
-        #: Transport statistics of the most recent parallel ``map``:
-        #: chunks shipped via shared memory vs. the pickle pipe.  Plain
-        #: attributes, not obs counters — serial and parallel telemetry
-        #: must stay identical.
-        self.last_transport_stats: Dict[str, int] = {
-            "shm_chunks": 0,
-            "pickle_chunks": 0,
-        }
 
     def map(self, fn: Callable[[Any], Any], items: Sequence[Any]) -> List[Any]:
         """``[fn(item) for item in items]``, fanned out when it pays.
@@ -361,26 +582,14 @@ class TrialPool:
         returns results in item order and merges worker telemetry in
         chunk start order; see the module docstring for the process
         model and the failure protocol.
-
-        Numeric result tables travel back through a preallocated
-        shared-memory arena (:mod:`repro.parallel.shmipc`) instead of
-        the workers' pickle pipes; everything else falls back to
-        pickle.  Either transport returns value-identical lists.
         """
-        global _ARENA, _HEARTBEAT_Q
+        global _HEARTBEAT_Q
         items = list(items)
         if self.jobs <= 1 or len(items) <= 1 or not fork_available():
             return [fn(item) for item in items]
         chunks = chunk_plan(len(items), self.jobs, self.chunk_factor)
         token = next(_TOKENS)
         _WORK[token] = (fn, items)
-        arena: Optional[shmipc.ResultArena] = None
-        if shmipc.shm_enabled():
-            try:
-                arena = shmipc.ResultArena(slots=len(chunks))
-            except OSError:
-                arena = None  # no /dev/shm room -> pickle transport
-        _ARENA = arena
         # The heartbeat queue exists only while a live bus is installed
         # in this (parent) process; it must be created before the
         # workers fork so they inherit it.
@@ -392,7 +601,6 @@ class TrialPool:
             payloads = self._run_parallel(token, chunks)
             from repro.parallel import obsmerge
 
-            stats = {"shm_chunks": 0, "pickle_chunks": 0}
             results: List[Any] = []
             for payload in sorted(payloads, key=lambda p: p["start"]):
                 obsmerge.merge_delta(
@@ -400,27 +608,18 @@ class TrialPool:
                     worker=payload.get("pid"),
                     chunk=payload["start"],
                 )
-                descriptor = payload.get("shm")
-                if descriptor is not None and arena is not None:
-                    stats["shm_chunks"] += 1
-                    results.extend(arena.read(descriptor["slot"], descriptor))
-                else:
-                    stats["pickle_chunks"] += 1
-                    results.extend(payload["results"])
-            self.last_transport_stats = stats
+                results.extend(payload["results"])
             return results
         finally:
-            # Every worker has been joined, so the beats it sent (its
-            # "end" beats included) are all in the queue.
-            self._drain_heartbeats()
+            # With a bus, every worker was forked for this map and has
+            # been joined, so the beats it sent ("end" beats included)
+            # are all in the queue.
+            _drain_heartbeats()
             _HEARTBEAT_Q = None
             if hb_queue is not None:
                 hb_queue.close()
                 hb_queue.cancel_join_thread()
             del _WORK[token]
-            _ARENA = None
-            if arena is not None:
-                arena.close()
 
     # -- the two passes -------------------------------------------------
 
@@ -435,31 +634,38 @@ class TrialPool:
     def _first_pass(
         self, token: int, chunks: List[Tuple[int, int]]
     ) -> Tuple[List[Dict[str, Any]], List[Tuple[int, int]]]:
-        """Run the chunks on ``min(jobs, chunks)`` workers; each worker
-        that answers takes the next chunk (work stealing).
+        """Run the chunks on up to ``jobs`` workers; each worker that
+        answers takes the next chunk (work stealing).
 
         Returns ``(completed payloads, chunks needing the isolation
         pass)``.  A trial-function failure raises once every earlier
         chunk has answered, naming the first failing trial; a crash or
-        hang demotes every unfinished chunk to the isolation pass.
-        Chunk ``i`` owns arena slot ``i``; isolation-pass re-runs ship
-        by pickle (``slot = -1``), so a crashed chunk's half-written
-        slot is never read.
+        hang demotes every unfinished chunk to the isolation pass.  A
+        resident worker that left at rest before it took its chunk is
+        replaced, and the chunk goes back to the queue.  After a clean
+        pass resident workers rest; on any other outcome every worker
+        is joined.
         """
         ctx = mp.get_context("fork")
-        todo = deque((start, stop, slot) for slot, (start, stop) in enumerate(chunks))
+        shipment = _shipment(token)
+        todo = [(start, stop, slot) for slot, (start, stop) in enumerate(chunks)]
         done: Dict[int, Dict[str, Any]] = {}
         failures: List[Dict[str, Any]] = []
-        broken = False
+        broken = clean = False
         workers: List[_Worker] = []
         try:
-            for _ in range(min(self.jobs, len(chunks))):
-                workers.append(_Worker(ctx, token))
-                workers[-1].send(todo.popleft(), self.timeout)
             while True:
                 first_failure = min(
                     (failure["index"] for failure in failures), default=math.inf
                 )
+                while todo and todo[0][0] < first_failure:
+                    worker = next((w for w in workers if w.task is None), None)
+                    if worker is None:
+                        if len(workers) >= self.jobs:
+                            break
+                        worker = _hire(ctx, token, shipment, workers)
+                        workers.append(worker)
+                    worker.send(todo.pop(0), self.timeout)
                 busy = [
                     worker for worker in workers
                     if worker.task is not None and worker.task[0] < first_failure
@@ -471,23 +677,27 @@ class TrialPool:
                     broken = True
                     break
                 for worker in ready:
-                    slot = worker.task[2]
+                    task = worker.task
                     payload = worker.receive()
-                    if payload is None:
+                    if payload == _IDLE:
+                        insort(todo, task)
+                        workers.remove(worker)
+                        _stop([worker])
+                    elif payload is None:
                         broken = True
                     elif payload["failure"] is not None:
                         failures.append(payload["failure"])
                     else:
-                        done[slot] = payload
+                        done[task[2]] = payload
                 if broken:
                     break
-                for worker in ready:
-                    if todo and not failures:
-                        worker.send(todo.popleft(), self.timeout)
-        except OSError:  # a worker's pipe closed under a send: it died
-            broken = True
+            clean = not (broken or failures)
         finally:
-            self._stop(workers)
+            if clean and shipment is not None:
+                for worker in workers:
+                    worker._put(_REST)
+            else:
+                _stop(workers)
         if failures and not broken:
             self._raise_trial_failure(min(failures, key=lambda f: f["index"]))
         pending = [chunk for slot, chunk in enumerate(chunks) if slot not in done]
@@ -528,7 +738,7 @@ class TrialPool:
                     self._raise_trial_failure(payload["failure"])
                 return payload
             finally:
-                self._stop([worker])
+                _stop([worker])
         raise ParallelError(
             f"trial {index} failed after a retry on a fresh worker "
             f"({last_error}); no partial results were returned",
@@ -552,7 +762,7 @@ class TrialPool:
         by_conn = {worker.conn: worker for worker in busy}
         deadline = min(worker.deadline for worker in busy)
         while True:
-            self._drain_heartbeats()
+            _drain_heartbeats()
             wait_s = max(0.0, deadline - time.monotonic())
             if _HEARTBEAT_Q is not None:
                 wait_s = min(wait_s, _POLL_S)
@@ -561,51 +771,6 @@ class TrialPool:
                 return [by_conn[conn] for conn in ready]
             if time.monotonic() >= deadline:
                 return []
-
-    def _stop(self, workers: List[_Worker]) -> None:
-        """Tell idle workers to exit, terminate busy ones, join them all.
-
-        Beats are drained while waiting: a worker's exit flushes its
-        heartbeat queue, which blocks while the queue's pipe is full.
-        """
-        for worker in workers:
-            if worker.task is None:
-                try:
-                    worker.conn.send(None)
-                except OSError:
-                    pass  # it already died
-            else:
-                worker.process.terminate()
-        deadline = time.monotonic() + _EXIT_WAIT_S
-        running = [worker.process for worker in workers]
-        while running:
-            self._drain_heartbeats()
-            wait_s = deadline - time.monotonic()
-            if wait_s <= 0:
-                for process in running:
-                    process.kill()
-                break
-            _wait_ready([process.sentinel for process in running], min(wait_s, _POLL_S))
-            running = [process for process in running if process.exitcode is None]
-        for worker in workers:
-            worker.process.join()
-            worker.process.close()
-            worker.conn.close()
-
-    # -- heartbeat plumbing --------------------------------------------
-
-    def _drain_heartbeats(self) -> None:
-        """Move queued worker beats onto the live bus, then tick it."""
-        hb_queue = _HEARTBEAT_Q
-        if hb_queue is None:
-            return
-        while True:
-            try:
-                record = hb_queue.get_nowait()
-            except (_queue.Empty, OSError, ValueError):
-                break
-            _live.publish(record)
-        _live.tick()
 
     # -- failure plumbing ----------------------------------------------
 
@@ -637,10 +802,11 @@ def run_trials(
 
         [fn(g) for g in spawn_rngs(rng, n_trials)]
 
-    ``fn`` and its results must be picklable-or-fork-inheritable for the
-    parallel path (any callable works — closures and lambdas travel by
-    fork inheritance; results must pickle).  Trial failures follow the
-    :class:`TrialPool` protocol.
+    Any callable works for the parallel path: a closure or lambda is
+    pickled by value (its cells included) for resident workers, or
+    inherited by fresh forks when something it holds does not pickle.
+    Results must pickle.  Trial failures follow the :class:`TrialPool`
+    protocol.
     """
     seeds = spawn_seeds(rng, n_trials)
     pool = TrialPool(jobs=jobs, timeout=timeout, chunk_factor=chunk_factor)

@@ -2,7 +2,8 @@
 
 With telemetry disabled, the hot paths must see what they saw before
 these layers existed: the switch off, no wire capture, no live bus, no
-memory profiler, and a profiler that does not run until started.  The
+memory profiler, and a profiler that does not run until started.
+``import repro`` leaves the metrics server's ``http.server`` unloaded.  The
 probes run in a fresh interpreter so no other test's state leaks in.
 """
 
@@ -14,7 +15,11 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[2] / "src"
 
 PROBE = """
+import sys
 from repro import obs
+# Only a process that serves metrics needs http.server (and the email
+# and ssl packages it pulls in).
+assert "http.server" not in sys.modules
 from repro.obs import bounds, capture, export, exporters, live, memory
 from repro.obs import profile, replay, session, slo
 assert not obs.STATE.enabled

@@ -99,17 +99,6 @@ class TestDeepFootprint:
         assert record["array_bytes"] > 0
         assert record["measured_bytes"] >= record["array_bytes"]
 
-    def test_arena_reports_shared_segment_size(self):
-        shmipc = pytest.importorskip("repro.parallel.shmipc")
-        arena = shmipc.ResultArena(slots=2, slot_size=4096)
-        try:
-            record = deep_footprint(arena)
-            assert record["structure"] == "arena"
-            assert record["measured_bytes"] == arena._shm.size
-            assert record["slot_size"] == 4096
-        finally:
-            arena.close()
-
     def test_plain_object_is_generic(self):
         record = deep_footprint(object(), label="x")
         assert record["structure"] == "object"

@@ -1,4 +1,5 @@
-"""Shared parallel-test hygiene: clean obs state and jobs defaults."""
+"""Shared parallel-test hygiene: clean obs state, jobs defaults and no
+resident pool workers carried from one test into the next."""
 
 import pytest
 
@@ -6,7 +7,7 @@ from repro import obs
 from repro.obs import bounds as obs_bounds
 from repro.obs import capture as obs_capture
 from repro.obs import live as obs_live
-from repro.parallel import set_default_jobs
+from repro.parallel import release_workers, set_default_jobs
 
 
 @pytest.fixture(autouse=True)
@@ -21,7 +22,9 @@ def clean_parallel_state(monkeypatch):
     obs_capture._ACTIVE.clear()
     obs_bounds._MONITORS.clear()
     obs_live.uninstall()
+    release_workers()
     yield
+    release_workers()
     set_default_jobs(None)
     obs.disable()
     obs.STATE.sink = None

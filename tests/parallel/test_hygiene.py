@@ -1,8 +1,12 @@
-"""Pool hygiene: a ``map`` leaves no worker process and no open file.
+"""Pool hygiene: no worker process and no open file outlives the pool.
 
-Every worker is joined, and every pipe closed, before ``map`` returns or
-raises, on the normal path and on each failure path of the protocol
-(trial exception, worker crash, hang past the timeout).
+A failed ``map`` (trial exception, worker crash, hang past the timeout)
+joins every worker it hired and closes every pipe before it raises.  A
+clean map leaves its workers resting for the next one, so the same
+property holds at the idle boundary instead: once
+:func:`~repro.parallel.release_workers` retires them, and once they have
+rested ``_IDLE_S`` with no call at all and ``multiprocessing`` has
+reaped them.
 """
 
 import multiprocessing as mp
@@ -14,7 +18,8 @@ import pytest
 
 from repro.errors import ParallelError
 from repro.obs import live
-from repro.parallel import TrialPool, fork_available
+from repro.parallel import TrialPool, fork_available, release_workers
+from repro.parallel import pool as pool_mod
 
 pytestmark = [
     pytest.mark.skipif(
@@ -48,6 +53,14 @@ def _hanging(item):
     return item
 
 
+def _rest_until_reaped():
+    """Make no pool call until the workers have exited of themselves
+    and ``multiprocessing`` has reaped them."""
+    deadline = time.monotonic() + 10.0
+    while mp.active_children() and time.monotonic() < deadline:
+        time.sleep(pool_mod._IDLE_S)
+
+
 #: (pool arguments, trial function, error expected from map or None).
 PATHS = {
     "normal": ({}, lambda item: item * 2, None),
@@ -60,24 +73,26 @@ PATHS = {
 @pytest.mark.parametrize("path", sorted(PATHS))
 @pytest.mark.parametrize("watched", [False, True], ids=["no bus", "live bus"])
 def test_map_leaves_no_worker_and_no_open_file(path, watched):
-    # The first map starts multiprocessing's resource tracker (for the
-    # shared-memory arena), whose pipe stays open for the process's life.
-    TrialPool(jobs=2).map(lambda item: item, [0, 1])
     kwargs, fn, error = PATHS[path]
     before = _open_fds()
-    with live.publishing() if watched else nullcontext():
-        if error is None:
-            assert TrialPool(jobs=2, **kwargs).map(fn, list(range(8))) == [
-                item * 2 for item in range(8)
-            ]
-        else:
-            with pytest.raises(ParallelError, match=error):
-                TrialPool(jobs=2, **kwargs).map(fn, list(range(8)))
-    assert mp.active_children() == []
-    assert _open_fds() == before
+    for boundary in (release_workers, _rest_until_reaped):
+        with live.publishing() if watched else nullcontext():
+            if error is None:
+                assert TrialPool(jobs=2, **kwargs).map(fn, list(range(8))) == [
+                    item * 2 for item in range(8)
+                ]
+            else:
+                with pytest.raises(ParallelError, match=error):
+                    TrialPool(jobs=2, **kwargs).map(fn, list(range(8)))
+                assert mp.active_children() == []
+                assert _open_fds() == before
+        boundary()
+        assert mp.active_children() == []
+        assert _open_fds() == before
 
 
 def test_workers_started_are_capped_by_the_chunk_count(monkeypatch):
+    release_workers()
     started = []
     real_start = mp.process.BaseProcess.start
 
@@ -88,4 +103,5 @@ def test_workers_started_are_capped_by_the_chunk_count(monkeypatch):
     monkeypatch.setattr(mp.process.BaseProcess, "start", counting_start)
     assert TrialPool(jobs=4).map(lambda item: item + 1, [1, 2]) == [2, 3]
     assert len(started) == 2
+    release_workers()
     assert mp.active_children() == []
